@@ -184,6 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,6 +11,7 @@ g1 g2 ... gk evaluates left to right.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -25,6 +26,7 @@ from .trees import (
     leaf_intervals,
     merge_pair,
     parse_tree_at,
+    random_tree,
     refine,
     sibling_pairs,
     split_leaf,
@@ -34,6 +36,11 @@ from .trees import (
 
 @dataclass(frozen=True)
 class Element:
+    """A tree-pair diagram. `==` and hashing compare diagrams, so an element and
+    its expansions are unequal; `equals` compares group elements (the reduced
+    diagrams). `==` stays structural because reducing costs a full tree walk.
+    """
+
     domain_tree: Tree
     range_tree: Tree
     perm: perms.Perm
@@ -52,6 +59,17 @@ class Element:
     @staticmethod
     def identity() -> Element:
         return Element(LEAF, LEAF, (1,))
+
+    @staticmethod
+    def random(carets: int, rng: random.Random) -> Element:
+        """Unreduced diagram from two uniform random trees and a uniform permutation."""
+        if carets < 1:
+            raise ValueError("caret count must be positive")
+        domain = random_tree(carets, rng)
+        range_ = random_tree(carets, rng)
+        images = list(range(1, carets + 2))
+        rng.shuffle(images)
+        return Element(domain, range_, tuple(images))
 
     @staticmethod
     def parse(text: str) -> Element:
@@ -156,37 +174,18 @@ class Element:
             images.extend(range(base + 1, base + sizes[v - 1] + 1))
         return Element(domain, target, tuple(images))
 
-    def expand_to_domain(self, target: Tree) -> Element:
-        subs = fringe_subtrees(self.domain_tree, target)
-        sizes = [s.leaves for s in subs]
-        inv = perms.invert_perm(self.perm)
-        range_ = graft_fringe(self.range_tree, [subs[v - 1] for v in inv])
-        domain_offset = [0, *accumulate(sizes)]
-        range_sizes = [sizes[v - 1] for v in inv]
-        range_offset = [0, *accumulate(range_sizes)]
-        images = [0] * target.leaves
-        for i, v in enumerate(self.perm, start=1):
-            dbase = domain_offset[i - 1]
-            rbase = range_offset[v - 1]
-            for k in range(sizes[i - 1]):
-                images[dbase + k] = rbase + k + 1
-        return Element(target, range_, tuple(images))
-
     def __mul__(self, other: Element) -> Element:
         """Composition "apply self, then other", reduced."""
         if not isinstance(other, Element):
             return NotImplemented
         middle = refine(self.range_tree, other.domain_tree)
         a = self.expand_to_range(middle)
-        b = other.expand_to_domain(middle)
-        product = Element(a.domain_tree, b.range_tree, perms.compose(a.perm, b.perm))
-        return product.reduce()
+        b = other.inverse().expand_to_range(middle)
+        perm = perms.compose(a.perm, perms.invert_perm(b.perm))
+        return Element(a.domain_tree, b.domain_tree, perm).reduce()
 
     def inverse(self) -> Element:
         return Element(self.range_tree, self.domain_tree, perms.invert_perm(self.perm))
-
-    def __invert__(self) -> Element:
-        return self.inverse()
 
     def __pow__(self, n: int) -> Element:
         if n < 0:
@@ -233,18 +232,3 @@ class Element:
         targets = leaf_intervals(x.range_tree)
         return PiecewiseMap(tuple((sources[i], targets[v - 1]) for i, v in enumerate(x.perm)))
 
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def invert(x: Element) -> Element:
-    return x.inverse()
-
-
-def equals(a: Element, b: Element) -> bool:
-    return a.equals(b)
-
-
-def to_interval_map(x: Element) -> PiecewiseMap:
-    return x.interval_map()

@@ -19,7 +19,7 @@ from .bounds import birget_upper, new_upper
 from .elements import Element
 from .generators import GENERATOR_NAMES, Word, free_reduce, generator_element, power_word
 from .search import enumerate_ball
-from .trees import random_tree, right_comb
+from .trees import right_comb
 from .words import synthesize_word
 
 
@@ -78,17 +78,7 @@ def counterexample_product(n: int) -> tuple[Element, Word]:
 
 def random_element(carets: int, seed: int) -> Element:
     """Reduced element from two uniform random trees and a uniform permutation."""
-    return _random_element(carets, random.Random(seed))
-
-
-def _random_element(carets: int, rng: random.Random) -> Element:
-    if carets < 1:
-        raise ValueError("caret count must be positive")
-    domain = random_tree(carets, rng)
-    range_ = random_tree(carets, rng)
-    images = list(range(1, carets + 2))
-    rng.shuffle(images)
-    return Element(domain, range_, tuple(images)).reduce()
+    return Element.random(carets, random.Random(seed)).reduce()
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ def survey_bounds(
     rng = random.Random(seed)
     records = []
     for _ in range(count):
-        x = _random_element(carets, rng)
+        x = Element.random(carets, rng).reduce()
         n = x.domain_tree.carets
         b = len(perms.cluster_runs(x.perm))
         records.append(

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .elements import Element
-from .generators import GENERATOR_NAMES, GenSymbol, Word, generator_element
+from .generators import GENERATOR_NAMES, GenSymbol, Word, symbol_element
 
 ENV_BUDGET = "THOMPSON_MEM_BUDGET_MB"
 DEFAULT_BUDGET_MB = 512
@@ -56,11 +56,8 @@ class LengthResult:
 
 def moves() -> list[tuple[GenSymbol, Element]]:
     """The eight right-multiplication moves, in a fixed deterministic order."""
-    out = []
-    for exp in (1, -1):
-        for name in GENERATOR_NAMES:
-            out.append((GenSymbol(name, exp), generator_element(name) if exp == 1 else generator_element(name).inverse()))
-    return out
+    symbols = [GenSymbol(name, exp) for exp in (1, -1) for name in GENERATOR_NAMES]
+    return [(s, symbol_element(s)) for s in symbols]
 
 
 class _Budget:
@@ -110,6 +107,29 @@ class BallData:
         return tuple(reversed(symbols))
 
 
+def _expand(
+    frontier: dict[str, Element], dist: dict[str, int], depth: int, budget: _Budget,
+    completed_radius: int, parent: dict[str, tuple[str, GenSymbol]] | None = None,
+) -> dict[str, Element]:
+    """The next BFS level by key, in discovery order: frontier times `moves()`.
+
+    New products get distance `depth`; a budget overrun names `completed_radius`.
+    """
+    level: dict[str, Element] = {}
+    the_moves = moves()
+    for ek, e in frontier.items():
+        for symbol, g in the_moves:
+            p = e * g
+            k = p.text()
+            if k not in dist:
+                dist[k] = depth
+                budget.charge(k, completed_radius)
+                if parent is not None:
+                    parent[k] = (ek, symbol)
+                level[k] = p
+    return level
+
+
 def enumerate_ball(
     radius: int, budget_mb: int | None = None, track_parents: bool = True
 ) -> BallData:
@@ -123,24 +143,10 @@ def enumerate_ball(
     parent: dict[str, tuple[str, GenSymbol]] | None = {} if track_parents else None
     budget.charge(key0, 0)
     levels = [[identity]]
-    level_keys = [[key0]]
-    the_moves = moves()
+    frontier = {key0: identity}
     for d in range(1, radius + 1):
-        frontier: list[Element] = []
-        frontier_keys: list[str] = []
-        for e, ek in zip(levels[d - 1], level_keys[d - 1]):
-            for symbol, g in the_moves:
-                p = e * g
-                k = p.text()
-                if k not in distance:
-                    distance[k] = d
-                    budget.charge(k, d - 1)
-                    if parent is not None:
-                        parent[k] = (ek, symbol)
-                    frontier.append(p)
-                    frontier_keys.append(k)
-        levels.append(frontier)
-        level_keys.append(frontier_keys)
+        frontier = _expand(frontier, distance, d, budget, d - 1, parent)
+        levels.append(list(frontier.values()))
         if not frontier:
             break
     return BallData(radius, levels, distance, parent)
@@ -151,55 +157,36 @@ def ball_sizes(radius: int, budget_mb: int | None = None) -> list[int]:
     return enumerate_ball(radius, budget_mb=budget_mb, track_parents=False).sizes()
 
 
-def exact_word_length(
-    x: Element,
-    radius: int,
-    budget_mb: int | None = None,
-    bidirectional: bool = True,
-) -> LengthResult:
+def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> LengthResult:
     """Exact distance of x from the identity if it is at most `radius`.
 
-    The bidirectional search grows balls around both endpoints one full level
-    at a time (smaller frontier first) and meets in the middle; distances it
-    reports are exact by the level-completeness argument.
+    Grows balls around both endpoints one full level at a time (smaller
+    frontier first) and meets in the middle; distances it reports are exact
+    by the level-completeness argument.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     target = x.reduce()
     if target == Element.identity():
         return LengthResult(0, radius)
-    if not bidirectional:
-        ball = enumerate_ball(radius, budget_mb=budget_mb, track_parents=False)
-        return LengthResult(ball.distance.get(target.text()), radius)
 
     budget = _Budget(memory_budget_mb(budget_mb))
-    the_moves = moves()
-    sides = []
-    for root in (Element.identity(), target):
-        key = root.text()
-        budget.charge(key, 0)
-        sides.append({"dist": {key: 0}, "frontier": [root], "depth": 0})
+    frontiers = [{e.text(): e} for e in (Element.identity(), target)]
+    for frontier in frontiers:
+        for key in frontier:
+            budget.charge(key, 0)
+    dists = [dict.fromkeys(frontier, 0) for frontier in frontiers]
+    depths = [0, 0]
 
     best: int | None = None
-    while sides[0]["depth"] + sides[1]["depth"] < radius and best is None:
-        side = min(sides, key=lambda s: len(s["frontier"]))
-        other = sides[1] if side is sides[0] else sides[0]
-        depth = side["depth"] + 1
-        frontier: list[Element] = []
-        for e in side["frontier"]:
-            for _, g in the_moves:
-                p = e * g
-                k = p.text()
-                if k not in side["dist"]:
-                    side["dist"][k] = depth
-                    completed = sides[0]["depth"] + sides[1]["depth"]
-                    budget.charge(k, completed)
-                    frontier.append(p)
-                    meet = other["dist"].get(k)
-                    if meet is not None and (best is None or depth + meet < best):
-                        best = depth + meet
-        side["frontier"] = frontier
-        side["depth"] = depth
-    if best is not None and best <= radius:
-        return LengthResult(best, radius)
-    return LengthResult(None, radius)
+    while sum(depths) < radius and best is None:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        other = dists[1 - side]
+        frontiers[side] = _expand(
+            frontiers[side], dists[side], depths[side] + 1, budget, sum(depths)
+        )
+        depths[side] += 1
+        meets = [other[k] for k in frontiers[side] if k in other]
+        if meets:
+            best = depths[side] + min(meets)
+    return LengthResult(best, radius)

@@ -15,7 +15,6 @@ from .elements import Element
 from .generators import (
     GenSymbol,
     Word,
-    evaluate_word,
     free_reduce,
     invert_word,
     power_word,
@@ -135,6 +134,3 @@ def synthesize_word(x: Element) -> Word:
     )
     return free_reduce(word)
 
-
-def verify_word(word: Word, x: Element) -> bool:
-    return evaluate_word(word).equals(x)

@@ -5,20 +5,14 @@ from __future__ import annotations
 import random
 
 from thompsonv.elements import Element
-from thompsonv.trees import random_tree
 
 
 def random_raw_element(carets: int, rng: random.Random) -> Element:
-    """Unreduced diagram from two uniform trees and a uniform permutation."""
-    domain = random_tree(carets, rng)
-    range_ = random_tree(carets, rng)
-    images = list(range(1, carets + 2))
-    rng.shuffle(images)
-    return Element(domain, range_, tuple(images))
+    return Element.random(carets, rng)
 
 
 def random_element(carets: int, rng: random.Random) -> Element:
-    return random_raw_element(carets, rng).reduce()
+    return Element.random(carets, rng).reduce()
 
 
 def expand_randomly(x: Element, rng: random.Random, steps: int) -> Element:

@@ -90,6 +90,16 @@ def test_survey(capsys):
     # identical invocation is byte-identical
     code, again, _ = run(capsys, "survey", "--count", "5", "--carets", "3", "--radius", "2", "--seed", "1")
     assert again == out
+    # the exact_length column comes from the ball search; the expected rows are fixed
+    code, out, _ = run(capsys, "survey", "--count", "5", "--carets", "3", "--radius", "4", "--seed", "1")
+    assert out.splitlines() == [
+        "element,N,B,exact_length,birget_upper,new_upper",
+        '"(.,(.,(.,.)))|(.,((.,.),.))|[1,2,3,4]",3,1,1,4.754888,3.000000',
+        '"(.,(.,(.,.)))|(.,((.,.),.))|[4,2,3,1]",3,3,3,4.754888,7.754888',
+        '"((.,.),(.,.))|((.,.),(.,.))|[2,4,3,1]",3,4,3,4.754888,11.000000',
+        '"((.,(.,.)),.)|(.,(.,(.,.)))|[2,1,3,4]",3,3,3,4.754888,7.754888',
+        '"((.,.),(.,.))|(((.,.),.),.)|[2,1,3,4]",3,3,4,4.754888,7.754888',
+    ]
 
 
 def test_constants(capsys):
@@ -97,6 +107,18 @@ def test_constants(capsys):
     assert code == 0
     assert "generators: x0 x1 c pi" in out
     assert "max_carets_over_length:" in out
+    # the witnesses are the first maxima in BFS order, so they pin that order
+    code, out, _ = run(capsys, "constants", "--radius", "4")
+    assert out.splitlines() == [
+        "radius: 4",
+        "generators: x0 x1 c pi",
+        "ball_sizes: 1 7 36 167 767",
+        "total: 978",
+        "max_carets_over_length: 3.000000",
+        "max_carets_over_length_witness: (.,(.,(.,.)))|(.,((.,.),.))|[1,2,3,4]",
+        "max_length_over_cluster_bound: 1.000000",
+        "max_length_over_cluster_bound_witness: (((.,.),.),.)|((.,(.,.)),.)|[1,2,3,4]",
+    ]
 
 
 def test_usage_errors_exit_one(capsys):
@@ -105,6 +127,14 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "reduce", "(.,.)|(.,.)|[1,1]")[0] == 1  # invalid permutation
     code, _, err = run(capsys, "bounds", "--n", "3", "--b", "9")
     assert code == 1 and "cluster count" in err
+    comb = "."
+    for _ in range(1200):
+        comb = f"(.,{comb})"
+    deep = f"{comb}|{comb}|[{','.join(str(i) for i in range(1, 1202))}]"
+    for command in ("reduce", "stats"):
+        code, _, err = run(capsys, command, deep)
+        assert code == 1
+        assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_resource_error_exit_two(capsys, monkeypatch):

@@ -87,16 +87,20 @@ def test_multiply_examples():
 
 
 def test_multiply_matches_interval_map_composition():
-    # independent oracle: compose the right-continuous maps pointwise
+    # independent oracle: compose the right-continuous maps pointwise;
+    # PiecewiseMap.apply shares no code with the tree surgery in * and inverse
     rng = random.Random(25)
-    for _ in range(150):
-        a = random_raw_element(rng.randint(1, 6), rng)
-        b = random_raw_element(rng.randint(1, 6), rng)
-        product_map = (a * b).interval_map()
-        ma, mb = a.interval_map(), b.interval_map()
-        for _ in range(6):
-            t = Fraction(rng.randrange(0, 1 << 12), 1 << 12)
-            assert product_map.apply(t) == mb.apply(ma.apply(t))
+    for max_carets, count in ((6, 150), (40, 40)):
+        for _ in range(count):
+            a = random_raw_element(rng.randint(1, max_carets), rng)
+            b = random_raw_element(rng.randint(1, max_carets), rng)
+            product_map = (a * b).interval_map()
+            ma, mb = a.interval_map(), b.interval_map()
+            inverse_map = a.inverse().interval_map()
+            for _ in range(6):
+                t = Fraction(rng.randrange(0, 1 << 32), 1 << 32)
+                assert product_map.apply(t) == mb.apply(ma.apply(t))
+                assert inverse_map.apply(ma.apply(t)) == t
 
 
 def test_multiply_associative_identity_neutral():

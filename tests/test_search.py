@@ -74,7 +74,6 @@ def test_bidirectional_agrees_with_ball(ball):
     for dist, level in enumerate(ball.levels):
         for e in rng.sample(level, min(len(level), 10)):
             assert exact_word_length(e, RADIUS).length == dist
-            assert exact_word_length(e, RADIUS, bidirectional=False).length == dist
 
 
 def test_unknown_beyond_radius():
