@@ -103,9 +103,7 @@ def survey_bounds(
         n = x.domain_tree.carets
         b = len(perms.cluster_runs(x.perm))
         records.append(
-            SurveyRecord(
-                x.text(), n, b, ball.distance.get(x.text()), birget_upper(n), new_upper(n, b)
-            )
+            SurveyRecord(x.text(), n, b, ball.distance_of(x), birget_upper(n), new_upper(n, b))
         )
     return records
 

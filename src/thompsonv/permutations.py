@@ -82,10 +82,6 @@ def cluster_runs(p: Perm) -> ClusterPartition:
     return ClusterPartition(tuple(runs))
 
 
-def cluster_count(p: Perm) -> int:
-    return len(cluster_runs(p))
-
-
 def adjacent_swap(n: int, i: int) -> Perm:
     """Transposition of i and i+1 inside 1..n."""
     if not 1 <= i < n:

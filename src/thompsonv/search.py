@@ -1,11 +1,12 @@
 """Exact word lengths by breadth-first search of the Cayley graph.
 
-States are canonical serialized strings of reduced diagrams, so deduplication
-is exact. Levels are expanded whole: every element of level k is known before
-level k+1 starts, which makes enumeration order, ball sizes and reports
-deterministic. Point queries meet in the middle to double the reachable
-radius. Memory is capped by an approximate byte budget; exceeding it raises
-a resource error naming the last completed radius.
+States are reduced diagrams. A reduced diagram is unique, so `==` on states is
+group equality and deduplication is exact. Levels are expanded whole: every
+element of level k is known before level k+1 starts, which makes enumeration
+order, ball sizes and reports deterministic. Point queries meet in the middle
+to double the reachable radius. Memory is capped by a byte budget that charges
+each stored element the bytes measured for its size; exceeding it raises a
+resource error naming the last completed radius.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .generators import GENERATOR_NAMES, GenSymbol, Word, symbol_element
 
 ENV_BUDGET = "THOMPSON_MEM_BUDGET_MB"
 DEFAULT_BUDGET_MB = 512
-_ENTRY_OVERHEAD = 120  # rough bytes of dict/bookkeeping per stored key
+# bytes held per element, fitted to tracemalloc of enumerate_ball at radius 5-6, parents on/off
+_ELEMENT_BYTES = 400
+_LEAF_BYTES = 96
 
 
 class ResourceLimitError(RuntimeError):
@@ -33,10 +36,15 @@ class ResourceLimitError(RuntimeError):
 
 
 def memory_budget_mb(budget_mb: int | None = None) -> int:
-    if budget_mb is not None:
-        return budget_mb
-    env = os.environ.get(ENV_BUDGET)
-    return int(env) if env else DEFAULT_BUDGET_MB
+    """The budget in MB: `budget_mb`, else $THOMPSON_MEM_BUDGET_MB, else 512."""
+    if budget_mb is None:
+        env = os.environ.get(ENV_BUDGET)
+        if env and not env.isdecimal():
+            raise ValueError(f"{ENV_BUDGET} must be a non-negative integer, got {env!r}")
+        return int(env) if env else DEFAULT_BUDGET_MB
+    if budget_mb < 0:
+        raise ValueError(f"--budget-mb must be non-negative, got {budget_mb}")
+    return budget_mb
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,8 @@ class _Budget:
         self.limit = budget_mb << 20
         self.used = 0
 
-    def charge(self, key: str, completed_radius: int) -> None:
-        self.used += len(key) + _ENTRY_OVERHEAD
+    def charge(self, e: Element, completed_radius: int) -> None:
+        self.used += _ELEMENT_BYTES + _LEAF_BYTES * e.n_leaves
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
 
@@ -78,8 +86,8 @@ class BallData:
 
     radius: int
     levels: list[list[Element]]
-    distance: dict[str, int]
-    parent: dict[str, tuple[str, GenSymbol]] | None
+    distance: dict[Element, int]
+    parent: dict[Element, tuple[Element, GenSymbol]] | None
 
     def sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -88,45 +96,44 @@ class BallData:
         return len(self.distance)
 
     def distance_of(self, x: Element) -> int | None:
-        return self.distance.get(x.reduce().text())
+        return self.distance.get(x.reduce())
 
     def witness_word(self, x: Element) -> Word | None:
         """A geodesic word for x, if x lies inside the ball."""
         if self.parent is None:
             raise ValueError("ball was enumerated without parent tracking")
-        key = x.reduce().text()
-        if key not in self.distance:
+        e = x.reduce()
+        if e not in self.distance:
             return None
         symbols: list[GenSymbol] = []
         while True:
-            step = self.parent.get(key)
+            step = self.parent.get(e)
             if step is None:
                 break
-            key, symbol = step
+            e, symbol = step
             symbols.append(symbol)
         return tuple(reversed(symbols))
 
 
 def _expand(
-    frontier: dict[str, Element], dist: dict[str, int], depth: int, budget: _Budget,
-    completed_radius: int, parent: dict[str, tuple[str, GenSymbol]] | None = None,
-) -> dict[str, Element]:
-    """The next BFS level by key, in discovery order: frontier times `moves()`.
+    frontier: list[Element], dist: dict[Element, int], depth: int, budget: _Budget,
+    completed_radius: int, parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
+) -> list[Element]:
+    """The next BFS level in discovery order: frontier times `moves()`.
 
     New products get distance `depth`; a budget overrun names `completed_radius`.
     """
-    level: dict[str, Element] = {}
+    level: list[Element] = []
     the_moves = moves()
-    for ek, e in frontier.items():
+    for e in frontier:
         for symbol, g in the_moves:
             p = e * g
-            k = p.text()
-            if k not in dist:
-                dist[k] = depth
-                budget.charge(k, completed_radius)
+            if p not in dist:
+                dist[p] = depth
+                budget.charge(p, completed_radius)
                 if parent is not None:
-                    parent[k] = (ek, symbol)
-                level[k] = p
+                    parent[p] = (e, symbol)
+                level.append(p)
     return level
 
 
@@ -138,16 +145,13 @@ def enumerate_ball(
         raise ValueError("radius must be non-negative")
     budget = _Budget(memory_budget_mb(budget_mb))
     identity = Element.identity()
-    key0 = identity.text()
-    distance = {key0: 0}
-    parent: dict[str, tuple[str, GenSymbol]] | None = {} if track_parents else None
-    budget.charge(key0, 0)
+    distance = {identity: 0}
+    parent: dict[Element, tuple[Element, GenSymbol]] | None = {} if track_parents else None
+    budget.charge(identity, 0)
     levels = [[identity]]
-    frontier = {key0: identity}
     for d in range(1, radius + 1):
-        frontier = _expand(frontier, distance, d, budget, d - 1, parent)
-        levels.append(list(frontier.values()))
-        if not frontier:
+        levels.append(_expand(levels[-1], distance, d, budget, d - 1, parent))
+        if not levels[-1]:
             break
     return BallData(radius, levels, distance, parent)
 
@@ -166,16 +170,15 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    budget = _Budget(memory_budget_mb(budget_mb))
     target = x.reduce()
     if target == Element.identity():
         return LengthResult(0, radius)
 
-    budget = _Budget(memory_budget_mb(budget_mb))
-    frontiers = [{e.text(): e} for e in (Element.identity(), target)]
+    frontiers = [[Element.identity()], [target]]
     for frontier in frontiers:
-        for key in frontier:
-            budget.charge(key, 0)
-    dists = [dict.fromkeys(frontier, 0) for frontier in frontiers]
+        budget.charge(frontier[0], 0)
+    dists = [{frontier[0]: 0} for frontier in frontiers]
     depths = [0, 0]
 
     best: int | None = None
@@ -186,7 +189,7 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
             frontiers[side], dists[side], depths[side] + 1, budget, sum(depths)
         )
         depths[side] += 1
-        meets = [other[k] for k in frontiers[side] if k in other]
+        meets = [other[p] for p in frontiers[side] if p in other]
         if meets:
             best = depths[side] + min(meets)
     return LengthResult(best, radius)

@@ -121,7 +121,7 @@ def test_constants(capsys):
     ]
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, monkeypatch):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "reduce", "(.,.)|(.,.)")[0] == 1  # parse error
     assert run(capsys, "reduce", "(.,.)|(.,.)|[1,1]")[0] == 1  # invalid permutation
@@ -135,6 +135,12 @@ def test_usage_errors_exit_one(capsys):
         code, _, err = run(capsys, command, deep)
         assert code == 1
         assert "nested too deeply" in err and "Traceback" not in err
+    code, _, err = run(capsys, "ball", "--radius", "2", "--budget-mb", "-1")
+    assert code == 1 and "--budget-mb" in err
+    for value in ("-3", "abc"):
+        monkeypatch.setenv("THOMPSON_MEM_BUDGET_MB", value)
+        code, _, err = run(capsys, "length", "(.,.)|(.,.)|[2,1]", "--radius", "2")
+        assert code == 1 and "THOMPSON_MEM_BUDGET_MB" in err
 
 
 def test_resource_error_exit_two(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from thompsonv.bounds import birget_upper, new_upper
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
 from thompsonv.generators import GENERATOR_NAMES, GenSymbol, evaluate_word, symbol_element
+from thompsonv import search
 from thompsonv.search import (
     LengthResult,
     ResourceLimitError,
@@ -32,12 +34,17 @@ def test_every_generator_symbol_at_distance_one(ball):
         for exp in (1, -1):
             e = symbol_element(GenSymbol(name, exp))
             assert ball.distance_of(e) == 1
+            assert ball.distance_of(e.expand_leaf(1)) == 1  # lookup by an unreduced diagram
             assert exact_word_length(e, 2).length == 1
 
 
 def test_level_one_count_is_seven(ball):
     # pi is an involution, so the eight symbols give seven distinct elements
     assert ball.sizes()[1] == 7
+
+
+def test_element_keys_agree_with_text_keys(ball):
+    assert len({e.text() for level in ball.levels for e in level}) == ball.total()
 
 
 def test_x0_squared_at_distance_two(ball):
@@ -58,6 +65,10 @@ def test_witness_words_are_geodesic(ball):
             word = ball.witness_word(e)
             assert len(word) == dist
             assert evaluate_word(word).equals(e)
+    expanded = ball.levels[-1][0].expand_leaf(2)
+    word = ball.witness_word(expanded)
+    assert len(word) == RADIUS
+    assert evaluate_word(word).equals(expanded)
 
 
 def test_witness_none_outside_ball(ball):
@@ -96,6 +107,27 @@ def test_budget_exhaustion_names_completed_radius():
     assert err.value.completed_radius == 0
     with pytest.raises(ResourceLimitError):
         exact_word_length(symbol_element(GenSymbol("x1")) ** 4, 8, budget_mb=0)
+
+
+@pytest.mark.parametrize("track_parents", [False, True])
+def test_budget_charges_what_the_ball_holds(monkeypatch, track_parents):
+    budgets = []
+
+    class RecordingBudget(search._Budget):
+        def __init__(self, budget_mb):
+            super().__init__(budget_mb)
+            budgets.append(self)
+
+    monkeypatch.setattr(search, "_Budget", RecordingBudget)
+    search.moves()  # the cached generator elements are not part of the ball
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(5, track_parents=track_parents)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ball.total() == 4410
+    assert 1 / 1.5 <= budgets[0].used / traced <= 1.5
 
 
 def test_lower_and_upper_consistency_over_ball(ball):
