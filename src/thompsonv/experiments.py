@@ -17,10 +17,16 @@ from dataclasses import dataclass
 from . import permutations as perms
 from .bounds import birget_upper, new_upper
 from .elements import Element
-from .generators import GENERATOR_NAMES, Word, free_reduce, generator_element, power_word
+from .generators import (
+    GENERATOR_NAMES,
+    Word,
+    free_reduce,
+    generator_element,
+    parse_word,
+    power_word,
+)
 from .search import enumerate_ball
 from .trees import right_comb
-from .words import synthesize_word
 
 
 def counterexample_y(n: int) -> Element:
@@ -68,7 +74,7 @@ def counterexample_product(n: int) -> tuple[Element, Word]:
     product = counterexample_y(1)
     for j in range(2, n + 1):
         product = product * counterexample_y(j)
-    w1 = synthesize_word(counterexample_y(1))
+    w1 = parse_word("c^-1 x1^-1 pi x1 c")  # y_1 in 5 symbols: the witness slope of 9 rests on it
     word: Word = w1
     for _ in range(n - 1):
         word += power_word("x0", 2) + w1

@@ -9,7 +9,7 @@ metric bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Perm = tuple[int, ...]
 
@@ -90,28 +90,3 @@ def adjacent_swap(n: int, i: int) -> Perm:
     out[i - 1], out[i] = out[i], out[i - 1]
     return tuple(out)
 
-
-def bubble_sort_swaps(p: Perm) -> list[int]:
-    """Positions i of adjacent swaps that build p, in application order.
-
-    Applying adjacent_swap(n, i) for each returned i, left to right under
-    compose(), reproduces p. The list has at most n(n-1)/2 entries.
-    """
-    work = list(p)
-    swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(work) - 1):
-            if work[j] > work[j + 1]:
-                work[j], work[j + 1] = work[j + 1], work[j]
-                swaps.append(j + 1)
-                changed = True
-    return swaps
-
-
-def perm_from_swaps(n: int, swaps: Sequence[int]) -> Perm:
-    acc = identity_perm(n)
-    for i in swaps:
-        acc = compose(acc, adjacent_swap(n, i))
-    return acc

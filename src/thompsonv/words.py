@@ -1,30 +1,33 @@
 """Constructive word synthesis over the standard generators.
 
-Every element factors as (shape part) * (permutation part) * (shape part):
-the shape parts are order-preserving and come from right-spine rotation
-schedules, the permutation part lives on a right comb and is a product of
-adjacent-leaf swaps realized as conjugates of pi by comb cycles. Words are
-correctness witnesses; their lengths are polynomial in the caret count and
-reported, not optimized.
+An element x factors through its cluster collapse as x = y^-1 * collapsed * z^-1
+with y, z order-preserving (collapse.collapse_clusters). The collapsed element
+is (comb, comb, tau) on one leaf per cluster, so x gets the F word of y^-1, a
+radix-sort word for tau and the F word of z^-1. F words have O(N) symbols and
+the sort O(B log2 B), so |w| = O(N + B log2 B): the paper's bound, built.
 """
 
 from __future__ import annotations
 
 from . import permutations as perms
+from .collapse import collapse_clusters
 from .elements import Element
-from .generators import (
-    GenSymbol,
-    Word,
-    free_reduce,
-    invert_word,
-    power_word,
-)
+from .generators import GenSymbol, Word, free_reduce, parse_word, power_word
 from .trees import LEAF, Tree, replace_leaf, right_comb, spine_rotations_to_comb
 
 _X0 = GenSymbol("x0")
 _X1 = GenSymbol("x1")
-_C = GenSymbol("c")
-_PI = GenSymbol("pi")
+
+# Root patterns of the radix sort: geodesic words (radius-5 BFS witnesses)
+# for the diagrams that move one leaf a of the range tree onto a stack. Z is
+# the zero stack, O the one stack, S the only stack so far, r the rest.
+_JOIN = parse_word("x0")  # (S,(a,r)) -> ((S,a),r)
+_START_Z = parse_word("pi x0")  # (O,(a,r)) -> ((a,O),r)
+_TO_Z = parse_word("pi x1^-1 pi x0 x0")  # ((Z,O),(a,r)) -> (((Z,a),O),r)
+_TO_O = parse_word("x0^-1 x1 x0")  # ((Z,O),(a,r)) -> ((Z,(O,a)),r)
+_LAST_TO_Z = parse_word("x0^-1 c pi x0")  # ((Z,O),a) -> ((Z,a),O)
+_LAST_TO_O = parse_word("x0^-1")  # ((Z,O),a) -> (Z,(O,a))
+_LAST_START_Z = parse_word("x0^-1 c")  # (O,a) -> (a,O)
 
 
 def x_word(k: int) -> Word:
@@ -48,89 +51,85 @@ def rotation_element(k: int) -> Element:
     return Element(domain, range_, perms.identity_perm(k + 3))
 
 
-def cycle_word(n: int) -> Word:
-    """Word for the cyclic shift of the n leaves of a right comb, n >= 3.
-
-    The shift on n+1 leaves is the shift on n leaves preceded by one extra
-    rotation, giving c_n = x_{n-3} x_{n-4} ... x_1 c.
-    """
-    if n < 3:
-        raise ValueError("comb cycles need at least 3 leaves")
-    word: Word = ()
-    for k in range(n - 3, 0, -1):
-        word += x_word(k)
-    return free_reduce(word + (_C,))
-
-
-def cycle_element(n: int) -> Element:
-    comb = right_comb(n - 1)
-    shift = tuple(i % n + 1 for i in range(1, n + 1))
-    return Element(comb, comb, shift)
-
-
-def swap_word(i: int, n: int) -> Word:
-    """Word for the swap of leaves i, i+1 of the n-leaf right comb, n >= 3.
-
-    The swap at position 1 is pi itself; other positions are conjugates by
-    powers of the comb cycle.
-    """
-    if not 1 <= i < n:
-        raise ValueError(f"no adjacent pair at {i} in degree {n}")
-    if i == 1:
-        return (_PI,)
-    cw = cycle_word(n)
-    return free_reduce(invert_word(cw) * (i - 1) + (_PI,) + cw * (i - 1))
-
-
 def comb_perm_word(p: perms.Perm) -> Word:
-    """Word for (comb, comb, p) with p of degree n >= 3."""
+    """Word for (comb, comb, p): an LSD radix sort of the comb's leaves.
+
+    Pass b walks the range leaves in order and stably splits them by bit b of
+    p[i]-1 onto a zero stack Z and a one stack O, one root pattern per leaf;
+    an F word then turns the tree (Z, O) back into the comb. Each pass costs
+    O(len(p)) symbols, and only the stack shapes are tracked.
+    """
     n = len(p)
-    if n < 3:
-        raise ValueError("comb permutation words need degree >= 3")
-    word: Word = ()
-    for i in perms.bubble_sort_swaps(p):
-        word += swap_word(i, n)
-    return free_reduce(word)
+    comb = right_comb(n - 1)
+    ident = perms.identity_perm(n)
+    order = list(range(n))  # domain leaves (0-based) in range order
+    word: list[GenSymbol] = []
+    for b in range((n - 1).bit_length()):
+        zero = one = None  # both end non-empty: keys 0 and 2^b < n differ in bit b
+        for j, i in enumerate(order):
+            bit = (p[i] - 1) >> b & 1
+            last = j == n - 1
+            if j == 0:
+                pass  # the first leaf is a stack by itself
+            elif zero is not None and one is not None:
+                if bit:
+                    word += _LAST_TO_O if last else _TO_O
+                else:
+                    word += _LAST_TO_Z if last else _TO_Z
+            elif zero is None and not bit:
+                word += _LAST_START_Z if last else _START_Z
+            elif not last:
+                word += _JOIN
+            if bit:
+                one = LEAF if one is None else Tree(one, LEAF)
+            else:
+                zero = LEAF if zero is None else Tree(zero, LEAF)
+        word += f_normal_form_word(Element(Tree(zero, one), comb, ident))
+        order.sort(key=lambda i: (p[i] - 1) >> b & 1)
+    return free_reduce(tuple(word))
 
 
 def f_normal_form_word(f: Element) -> Word:
     """Word over {x0, x1} for an order-preserving element.
 
     Both trees of the reduced diagram are rotated onto the right comb; the
-    domain schedule is emitted inverted, the range schedule reversed. The
-    non-decreasing schedules make the x0-conjugating powers telescope, so the
-    word length is linear in the caret count.
+    domain schedule is emitted inverted, the range schedule reversed. Each
+    x_k^e = x0^(k-1) x1^e x0^-(k-1) is emitted with its x0 powers merged into
+    one pending exponent, and the non-decreasing schedules make those powers
+    telescope, so the word has O(N) symbols and is built in O(N) steps.
     """
-    if not f.in_f():
-        raise ValueError("element is not order-preserving")
     f = f.reduce()
-    word: Word = ()
-    for k in spine_rotations_to_comb(f.domain_tree):
-        word += invert_word(x_word(k))
-    for k in reversed(spine_rotations_to_comb(f.range_tree)):
-        word += x_word(k)
-    return free_reduce(word)
+    if not perms.is_identity(f.perm):
+        raise ValueError("element is not order-preserving")
+    steps = [(k, -1) for k in spine_rotations_to_comb(f.domain_tree)]
+    steps += [(k, 1) for k in reversed(spine_rotations_to_comb(f.range_tree))]
+    word: list[GenSymbol] = []
+    pending = 0  # exponent of x0 not yet emitted
+    for k, e in steps:
+        if k == 0:
+            pending += e
+        else:
+            word += power_word("x0", pending + k - 1)
+            word.append(GenSymbol("x1", e))
+            pending = 1 - k
+    word += power_word("x0", pending)
+    return free_reduce(tuple(word))
 
 
 def synthesize_word(x: Element) -> Word:
-    """A word over all four generators evaluating to x.
+    """A word over all four generators evaluating to x, of length O(N + B log2 B).
 
-    Factors x through the right comb: shape in, permutation on the comb,
-    shape out. Degree-<3 diagrams are expanded first so the comb swaps exist.
+    Elements of F get their F word; otherwise x = y^-1 * collapsed * z^-1 via
+    the cluster collapse, and collapsed is (comb, comb, tau) on B leaves
+    because clusters are maximal, so tau needs no reshaping before the sort.
     """
     x = x.reduce()
-    if x.in_f():
+    if perms.is_identity(x.perm):
         return f_normal_form_word(x)
-    while x.n_leaves < 3:
-        x = x.expand_leaf(1)
-    comb = right_comb(x.n_leaves - 1)
-    ident = perms.identity_perm(x.n_leaves)
-    shape_in = Element(x.domain_tree, comb, ident)
-    shape_out = Element(comb, x.range_tree, ident)
+    res = collapse_clusters(x)
     word = (
-        f_normal_form_word(shape_in)
-        + comb_perm_word(x.perm)
-        + f_normal_form_word(shape_out)
+        f_normal_form_word(res.y.inverse())
+        + comb_perm_word(res.collapsed.perm)
+        + f_normal_form_word(res.z.inverse())
     )
     return free_reduce(word)
-

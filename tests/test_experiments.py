@@ -4,7 +4,7 @@ import pytest
 
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
-from thompsonv.generators import evaluate_word
+from thompsonv.generators import evaluate_word, format_word
 from thompsonv.experiments import (
     SURVEY_HEADER,
     counterexample_product,
@@ -41,6 +41,7 @@ def test_conjugation_identity_validates_under_one_convention():
 def test_counterexample_product_small():
     p1, w1 = counterexample_product(1)
     assert p1.equals(counterexample_y(1))
+    assert format_word(w1) == "c^-1 x1^-1 pi x1 c"  # criterion 6's slope of 9 rests on it
     assert evaluate_word(w1).equals(p1)
     for n in range(2, 6):
         product, word = counterexample_product(n)

@@ -62,14 +62,3 @@ def test_cluster_runs_cover_and_are_maximal():
         for (_, last), (nxt, _) in zip(partition.runs, partition.runs[1:]):
             assert p[nxt - 1] != p[last - 1] + 1
 
-
-def test_bubble_sort_swaps_rebuild_permutation():
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        p = list(range(1, n + 1))
-        rng.shuffle(p)
-        p = tuple(p)
-        swaps = perms.bubble_sort_swaps(p)
-        assert perms.perm_from_swaps(n, swaps) == p
-        assert len(swaps) <= n * (n - 1) // 2

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_element
 from thompsonv import permutations as perms
+from thompsonv import words
 from thompsonv.elements import Element
 from thompsonv.generators import (
     GENERATOR_NAMES,
@@ -16,14 +17,12 @@ from thompsonv.generators import (
     standard_generators,
     symbol_element,
 )
-from thompsonv.trees import ParseError, right_comb
+from thompsonv.search import exact_word_length
+from thompsonv.trees import ParseError, random_tree, right_comb, spine_rotations_to_comb
 from thompsonv.words import (
     comb_perm_word,
-    cycle_element,
-    cycle_word,
     f_normal_form_word,
     rotation_element,
-    swap_word,
     synthesize_word,
     x_word,
 )
@@ -86,23 +85,26 @@ def test_x_words_match_explicit_rotation_diagrams():
         assert evaluate_word(x_word(k)).equals(rotation_element(k))
 
 
-def test_cycle_words_match_comb_shifts():
-    for n in range(3, 8):
-        assert evaluate_word(cycle_word(n)).equals(cycle_element(n))
-
-
-def test_swap_words_match_comb_transpositions():
-    for n in range(3, 7):
-        comb = right_comb(n - 1)
-        for i in range(1, n):
-            target = Element(comb, comb, perms.adjacent_swap(n, i))
-            assert evaluate_word(swap_word(i, n)).equals(target)
+def test_sort_patterns_are_geodesic():
+    patterns = [
+        (words._JOIN, "(.,(.,.))|((.,.),.)|[1,2,3]"),
+        (words._START_Z, "(.,(.,.))|((.,.),.)|[2,1,3]"),
+        (words._TO_Z, "((.,.),(.,.))|(((.,.),.),.)|[1,3,2,4]"),
+        (words._TO_O, "((.,.),(.,.))|((.,(.,.)),.)|[1,2,3,4]"),
+        (words._LAST_TO_Z, "((.,.),.)|((.,.),.)|[1,3,2]"),
+        (words._LAST_TO_O, "((.,.),.)|(.,(.,.))|[1,2,3]"),
+        (words._LAST_START_Z, "(.,.)|(.,.)|[2,1]"),
+    ]
+    for word, text in patterns:
+        diagram = Element.parse(text)
+        assert evaluate_word(word).equals(diagram), text
+        assert len(word) == exact_word_length(diagram, 5).length, text
 
 
 def test_comb_perm_word_random():
     rng = random.Random(41)
     for _ in range(60):
-        n = rng.randint(3, 7)
+        n = rng.randint(2, 8)
         p = list(range(1, n + 1))
         rng.shuffle(p)
         p = tuple(p)
@@ -122,8 +124,6 @@ def test_f_normal_form_examples():
 
 def test_f_normal_form_round_trip_and_linear_length():
     rng = random.Random(42)
-    from thompsonv.trees import random_tree
-
     for _ in range(200):
         n = rng.randint(1, 12)
         f = Element(random_tree(n, rng), random_tree(n, rng), perms.identity_perm(n + 1))
@@ -134,23 +134,78 @@ def test_f_normal_form_round_trip_and_linear_length():
         assert len(word) <= 6 * max(f.caret_count(), 1)
 
 
+def _concatenated_f_word(f: Element):
+    """Reference: each x_k^{+-1} written out in full, then freely reduced."""
+    word = ()
+    for k in spine_rotations_to_comb(f.domain_tree):
+        word += invert_word(x_word(k))
+    for k in reversed(spine_rotations_to_comb(f.range_tree)):
+        word += x_word(k)
+    return free_reduce(word)
+
+
+def test_f_normal_form_matches_concatenation():
+    rng = random.Random(44)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        f = Element(random_tree(n, rng), random_tree(n, rng), perms.identity_perm(n + 1))
+        f = f.reduce()
+        assert f_normal_form_word(f) == _concatenated_f_word(f)
+    big = Element(random_tree(850, rng), random_tree(850, rng), perms.identity_perm(851))
+    n = big.caret_count()
+    assert len(f_normal_form_word(big)) <= 6 * n
+
+
 def test_synthesize_examples():
     assert synthesize_word(Element.identity()) == ()
     f = (X0 * X1).reduce()
     assert synthesize_word(f) == f_normal_form_word(f)
     y1 = Element.parse("(.,(.,(.,.)))|(.,(.,(.,.)))|[1,3,2,4]")
     assert evaluate_word(synthesize_word(y1)).equals(y1)
-    swap = Element.parse("(.,.)|(.,.)|[2,1]")  # 2-leaf diagram needs pre-expansion
+    swap = Element.parse("(.,.)|(.,.)|[2,1]")  # one caret, two clusters
     assert evaluate_word(synthesize_word(swap)).equals(swap)
+
+
+def _within_cluster_bound(word, x: Element, factor: int) -> bool:
+    """|w| <= factor * (N + B log2 B), exactly: 2^|w| <= 2^(factor N) * B^(factor B)."""
+    n, b = x.caret_count(), x.cluster_count()
+    return 1 << len(word) <= (1 << factor * n) * b ** (factor * b)
 
 
 def test_synthesize_round_trip_random():
     rng = random.Random(43)
-    worst = 0.0
     for _ in range(150):
         x = random_element(rng.randint(1, 8), rng)
         word = synthesize_word(x)
         assert evaluate_word(word).equals(x)
-        worst = max(worst, len(word) / max(x.caret_count(), 1) ** 3)
-    # length stays polynomial in the caret count (cubic with a small constant)
-    assert worst <= 8.0
+        assert _within_cluster_bound(word, x, 5)
+
+
+def test_synthesize_sweep_within_cluster_bound():
+    """|w| <= 5 (N + B log2 B) for N = 8..512; round trips checked up to N = 32.
+
+    N = 1024 still overflows the default recursion limit in the recursive
+    tree walks, so the sweep stops at 512 until those walks are iterative.
+    """
+    for n in (8, 16, 32, 64, 128, 256, 512):
+        for seed in range(3):
+            x = random_element(n, random.Random(seed))
+            word = synthesize_word(x)
+            assert _within_cluster_bound(word, x, 5), (n, seed)
+            if n <= 32:
+                assert evaluate_word(word).equals(x)
+
+
+def test_synthesize_t_elements_linear():
+    """Elements of T have B = 2, so the bound is linear in N, as for T itself."""
+    rng = random.Random(45)
+    for n in (4, 8, 16, 32, 64, 128, 256):
+        for _ in range(3):
+            shift = rng.randint(1, n)
+            images = tuple((i + shift) % (n + 1) + 1 for i in range(n + 1))
+            x = Element(random_tree(n, rng), random_tree(n, rng), images).reduce()
+            assert x.cluster_count() == 2
+            word = synthesize_word(x)
+            assert _within_cluster_bound(word, x, 8), n
+            if n <= 32:
+                assert evaluate_word(word).equals(x)
