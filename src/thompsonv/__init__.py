@@ -7,7 +7,7 @@ cluster collapse, word synthesis, and an exact Cayley-graph length oracle.
 from .elements import Element
 from .intervals import DyadicInterval, PiecewiseMap, graph_components
 from .permutations import ClusterPartition, cluster_runs
-from .trees import LEAF, ParseError, Tree, caret, parse_tree, right_comb, tree_text
+from .trees import LEAF, ParseError, Tree, parse_tree, right_comb, tree_text
 
 __all__ = [
     "Element",
@@ -19,7 +19,6 @@ __all__ = [
     "LEAF",
     "ParseError",
     "Tree",
-    "caret",
     "parse_tree",
     "right_comb",
     "tree_text",

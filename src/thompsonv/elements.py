@@ -16,22 +16,32 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import permutations as perms
-from .intervals import PiecewiseMap
+from .intervals import DyadicInterval, PiecewiseMap
 from .trees import (
     LEAF,
+    Address,
     Scanner,
     Tree,
     fringe_subtrees,
     graft_fringe,
-    leaf_intervals,
-    merge_pair,
+    halves,
+    leaf_addresses,
     parse_tree_at,
     random_tree,
     refine,
-    sibling_pairs,
-    split_leaf,
+    tree_of,
     tree_text,
 )
+
+# One leaf of a diagram: the address of a domain leaf and of its image.
+Piece = tuple[Address, Address]
+
+
+def _merged(p: Piece, q: Piece) -> Piece | None:
+    """The piece that p and q form when both coordinates are halves, else None."""
+    domain = halves(p[0], q[0])
+    image = domain and halves(p[1], q[1])
+    return (domain, image) if image else None
 
 
 @dataclass(frozen=True)
@@ -100,46 +110,55 @@ class Element:
 
     # -- reduction --------------------------------------------------------
 
+    def _pieces(self) -> list[Piece]:
+        images = leaf_addresses(self.range_tree)
+        return list(zip(leaf_addresses(self.domain_tree), [images[v - 1] for v in self.perm]))
+
+    @staticmethod
+    def _from_pieces(pieces: list[Piece]) -> Element:
+        """The diagram whose leaves are these pieces, domains left to right."""
+        images = [image for _, image in pieces]
+        top = max(exp for _, exp in images)
+        order = sorted(range(len(images)), key=lambda j: images[j][0] << (top - images[j][1]))
+        return Element(
+            tree_of([domain for domain, _ in pieces]),
+            tree_of([images[j] for j in order]),
+            perms.invert_perm(tuple(j + 1 for j in order)),
+        )
+
     def reducible_pairs(self) -> list[int]:
         """Leaf indices i where a caret pair can be cancelled.
 
-        Leaves i, i+1 must share a caret in the domain tree, their images
-        must be consecutive, and those images must share a caret in the
-        range tree.
+        Leaves i and i+1 must be the two halves of one interval (they hang
+        from one caret), and so must their images, in the same order.
         """
-        range_sibs = set(sibling_pairs(self.range_tree))
-        out = []
-        for i in sibling_pairs(self.domain_tree):
-            if self.perm[i] == self.perm[i - 1] + 1 and self.perm[i - 1] in range_sibs:
-                out.append(i)
-        return out
+        pieces = self._pieces()
+        return [i for i in range(1, len(pieces)) if _merged(pieces[i - 1], pieces[i])]
 
     def reduce_step(self, i: int) -> Element:
         """Cancel the caret pair over leaves i, i+1; renumber the permutation."""
-        if i not in self.reducible_pairs():
+        pieces = self._pieces()
+        whole = 1 <= i < len(pieces) and _merged(pieces[i - 1], pieces[i])
+        if not whole:
             raise ValueError(f"no reducible pair at leaf {i}")
-        return self._cancel(i)
-
-    def _cancel(self, i: int) -> Element:
-        v = self.perm[i - 1]
-        domain = merge_pair(self.domain_tree, i)
-        range_ = merge_pair(self.range_tree, v)
-        images = [w if w <= v else w - 1 for j, w in enumerate(self.perm) if j != i]
-        return Element(domain, range_, tuple(images))
+        pieces[i - 1 : i + 1] = [whole]
+        return Element._from_pieces(pieces)
 
     def reduce(self) -> Element:
-        """Unique reduced diagram of the same group element.
+        """Unique reduced diagram of the same group element; self if already reduced.
 
-        Scans for the leftmost reducible pair until none is left; the result
-        does not depend on the order of cancellations (confluence, covered by
-        the test suite).
+        One left-to-right pass with a stack: a piece merges with the top while
+        both its addresses are halves with the top's, so nothing is rescanned.
+        Reduced diagrams are unique, so the order of merges does not matter.
         """
-        x = self
-        while True:
-            pairs = x.reducible_pairs()
-            if not pairs:
-                return x
-            x = x._cancel(pairs[0])
+        pieces = self._pieces()
+        stack: list[Piece] = []
+        for piece in pieces:
+            while stack and (whole := _merged(stack[-1], piece)):
+                stack.pop()
+                piece = whole
+            stack.append(piece)
+        return self if len(stack) == len(pieces) else Element._from_pieces(stack)
 
     def is_reduced(self) -> bool:
         return not self.reducible_pairs()
@@ -148,17 +167,10 @@ class Element:
         """Split leaf i and its image: the inverse of one reduction step."""
         if not 1 <= i <= self.n_leaves:
             raise ValueError(f"leaf index {i} out of range")
-        v = self.perm[i - 1]
-        domain = split_leaf(self.domain_tree, i)
-        range_ = split_leaf(self.range_tree, v)
-        images: list[int] = []
-        for j, w in enumerate(self.perm):
-            shifted = w if w <= v else w + 1
-            if j == i - 1:
-                images.extend((shifted, shifted + 1))
-            else:
-                images.append(shifted)
-        return Element(domain, range_, tuple(images))
+        pieces = self._pieces()
+        (n, e), (m, f) = pieces[i - 1]
+        pieces[i - 1 : i] = [((2 * n + b, e + 1), (2 * m + b, f + 1)) for b in (0, 1)]
+        return Element._from_pieces(pieces)
 
     # -- group operations ---------------------------------------------------
 
@@ -227,8 +239,6 @@ class Element:
 
     def interval_map(self) -> PiecewiseMap:
         """Right-continuous map view of the reduced diagram."""
-        x = self.reduce()
-        sources = leaf_intervals(x.domain_tree)
-        targets = leaf_intervals(x.range_tree)
-        return PiecewiseMap(tuple((sources[i], targets[v - 1]) for i, v in enumerate(x.perm)))
+        pieces = self.reduce()._pieces()
+        return PiecewiseMap(tuple((DyadicInterval(*d), DyadicInterval(*m)) for d, m in pieces))
 

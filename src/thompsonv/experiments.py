@@ -82,11 +82,6 @@ def counterexample_product(n: int) -> tuple[Element, Word]:
     return product, free_reduce(word)
 
 
-def random_element(carets: int, seed: int) -> Element:
-    """Reduced element from two uniform random trees and a uniform permutation."""
-    return Element.random(carets, random.Random(seed)).reduce()
-
-
 @dataclass(frozen=True)
 class SurveyRecord:
     element_text: str

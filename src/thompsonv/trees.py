@@ -4,6 +4,11 @@ Trees are immutable values. Internal nodes are carets; leaves are numbered
 1..n from left to right. Every caret has exactly two children, so a tree with
 N carets has N+1 leaves. Leaf counts and hashes are computed once at
 construction so that the search oracle can use trees as cheap keys.
+
+A leaf's address (num, exp) names its dyadic interval [num/2^exp, (num+1)/2^exp);
+the root's is (0, 0). Two leaves hang from one caret exactly when their
+addresses are the left and right halves of one interval (`halves`): that one
+rule rebuilds trees from their leaves (`tree_of`) and reduces diagrams.
 """
 
 from __future__ import annotations
@@ -67,10 +72,6 @@ class Tree:
 
 
 LEAF = Tree()
-
-
-def caret(left: Tree, right: Tree) -> Tree:
-    return Tree(left, right)
 
 
 def right_comb(carets_: int) -> Tree:
@@ -158,51 +159,48 @@ def parse_tree(text: str) -> Tree:
     return t
 
 
+Address = tuple[int, int]
+
+
+def halves(a: Address, b: Address) -> Address | None:
+    """The interval whose left and right halves are `a` and `b`, else None."""
+    (num, exp), (num_b, exp_b) = a, b
+    if exp == exp_b and num_b == num + 1 and not num & 1:
+        return (num >> 1, exp - 1)
+    return None
+
+
+def leaf_addresses(t: Tree) -> list[Address]:
+    """Addresses of the leaves, left to right; the root owns (0, 0)."""
+    out: list[Address] = []
+    stack = [(t, 0, 0)]
+    while stack:
+        node, num, exp = stack.pop()
+        while node.left is not None:
+            exp += 1
+            stack.append((node.right, (num << 1) | 1, exp))
+            node, num = node.left, num << 1
+        out.append((num, exp))
+    return out
+
+
+def tree_of(addresses: list[Address]) -> Tree:
+    """The tree whose leaves have these addresses; ValueError unless they tile [0, 1)."""
+    stack: list[tuple[Address, Tree]] = []
+    for a in addresses:
+        t = LEAF
+        while stack and (whole := halves(stack[-1][0], a)):
+            t = Tree(stack.pop()[1], t)
+            a = whole
+        stack.append((a, t))
+    if len(stack) != 1 or stack[0][0] != (0, 0):
+        raise ValueError("addresses do not tile [0, 1) as the leaves of a tree")
+    return stack[0][1]
+
+
 def leaf_intervals(t: Tree) -> list[DyadicInterval]:
     """Dyadic intervals of the leaves, left to right; the root owns [0, 1)."""
-    out: list[DyadicInterval] = []
-
-    def walk(node: Tree, num: int, exp: int) -> None:
-        if node.is_leaf:
-            out.append(DyadicInterval(num, exp))
-        else:
-            walk(node.left, num << 1, exp + 1)
-            walk(node.right, (num << 1) | 1, exp + 1)
-
-    walk(t, 0, 0)
-    return out
-
-
-def sibling_pairs(t: Tree) -> list[int]:
-    """Left leaf indices i such that leaves i and i+1 share one caret."""
-    out: list[int] = []
-
-    def walk(node: Tree, base: int) -> None:
-        if node.is_leaf:
-            return
-        if node.left.is_leaf and node.right.is_leaf:
-            out.append(base + 1)
-            return
-        walk(node.left, base)
-        walk(node.right, base + node.left.leaves)
-
-    walk(t, 0)
-    return out
-
-
-def merge_pair(t: Tree, i: int) -> Tree:
-    """Replace the caret over sibling leaves i, i+1 by a single leaf."""
-
-    def walk(node: Tree, i: int) -> Tree:
-        if node.left.is_leaf and node.right.is_leaf and i == 1:
-            return LEAF
-        if i <= node.left.leaves - 1:
-            return Tree(walk(node.left, i), node.right)
-        return Tree(node.left, walk(node.right, i - node.left.leaves))
-
-    if i < 1 or i >= t.leaves:
-        raise ValueError(f"no sibling pair at leaf {i}")
-    return walk(t, i)
+    return [DyadicInterval(num, exp) for num, exp in leaf_addresses(t)]
 
 
 def replace_leaf(t: Tree, i: int, sub: Tree) -> Tree:
@@ -214,10 +212,6 @@ def replace_leaf(t: Tree, i: int, sub: Tree) -> Tree:
     if i <= t.left.leaves:
         return Tree(replace_leaf(t.left, i, sub), t.right)
     return Tree(t.left, replace_leaf(t.right, i - t.left.leaves, sub))
-
-
-def split_leaf(t: Tree, i: int) -> Tree:
-    return replace_leaf(t, i, Tree(LEAF, LEAF))
 
 
 def refine(a: Tree, b: Tree) -> Tree:

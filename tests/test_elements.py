@@ -6,8 +6,16 @@ import pytest
 from conftest import expand_randomly, random_element, random_raw_element, reduce_random_order
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
-from thompsonv.intervals import graph_components
-from thompsonv.trees import LEAF, ParseError, Tree, random_tree, right_comb
+from thompsonv.intervals import PiecewiseMap, graph_components
+from thompsonv.trees import (
+    LEAF,
+    ParseError,
+    Tree,
+    graft_fringe,
+    leaf_intervals,
+    random_tree,
+    right_comb,
+)
 
 IDENTITY = Element.identity()
 SWAP = Element.parse("(.,.)|(.,.)|[2,1]")  # half-interval swap
@@ -51,6 +59,11 @@ def test_reduce_examples():
     assert SWAP.reduce() == SWAP  # images 2,1 are not consecutive
     assert Y1.reduce() == Y1  # only sibling pair is (3,4); images 2,4
     assert IDENTITY.is_reduced()
+    for i in (0, 1, 2):  # leaves 1, 2 of SWAP are siblings, but their images are swapped
+        with pytest.raises(ValueError):
+            SWAP.reduce_step(i)
+    with pytest.raises(ValueError):
+        IDENTITY.expand_leaf(2)
 
 
 def test_reduce_is_idempotent():
@@ -78,6 +91,48 @@ def test_expand_leaf_inverts_reduction():
         grown = x.expand_leaf(i)
         assert grown.n_leaves == x.n_leaves + 1
         assert grown.reduce() == x.reduce()
+
+
+def test_reduce_deep_diagram():
+    # one pass over the leaves with a stack: a 5000-caret comb needs no recursion
+    comb = right_comb(5000)
+    assert Element(comb, comb, perms.identity_perm(5001)).reduce() == IDENTITY
+    swap = Element(comb, comb, perms.adjacent_swap(5001, 5000))
+    assert swap.reduce() is swap
+    assert swap.caret_count() == 5000
+
+
+def unreduced_map(x: Element) -> PiecewiseMap:
+    """The map read off x's own trees and permutation, with no reduction."""
+    sources = leaf_intervals(x.domain_tree)
+    targets = leaf_intervals(x.range_tree)
+    return PiecewiseMap(tuple((sources[i], targets[v - 1]) for i, v in enumerate(x.perm)))
+
+
+def test_reduce_and_expand_match_interval_map():
+    # independent oracle: the map of the diagram as given, evaluated pointwise
+    rng = random.Random(32)
+    for max_carets, count in ((6, 150), (40, 40)):
+        for _ in range(count):
+            x = random_raw_element(rng.randint(1, max_carets), rng)
+            x = expand_randomly(x, rng, rng.randint(0, 4))
+            expected = unreduced_map(x)
+            reduced = x.reduce().interval_map()
+            expanded = x.expand_leaf(rng.randint(1, x.n_leaves)).reduce().interval_map()
+            for _ in range(6):
+                t = Fraction(rng.randrange(0, 1 << 32), 1 << 32)
+                assert reduced.apply(t) == expected.apply(t)
+                assert expanded.apply(t) == expected.apply(t)
+
+
+def test_reduce_undoes_fringe_grafts():
+    # expand_to_range and graft_fringe are tree surgery; reduce works on addresses
+    rng = random.Random(33)
+    for _ in range(6):
+        x = Element.random(rng.randint(100, 400), rng).reduce()
+        subtrees = [random_tree(rng.randint(0, 3), rng) for _ in range(x.n_leaves)]
+        grown = x.expand_to_range(graft_fringe(x.range_tree, subtrees))
+        assert grown.reduce() == x
 
 
 def test_multiply_examples():

@@ -10,16 +10,16 @@ from thompsonv.trees import (
     catalan,
     fringe_subtrees,
     graft_fringe,
+    halves,
+    leaf_addresses,
     leaf_intervals,
-    merge_pair,
     parse_tree,
     random_tree,
     refine,
     replace_leaf,
     right_comb,
-    sibling_pairs,
     spine_rotations_to_comb,
-    split_leaf,
+    tree_of,
     tree_text,
 )
 
@@ -83,22 +83,46 @@ def test_leaf_intervals_tile_unit_interval():
         assert ivs[-1].right == 1
 
 
-def test_sibling_pairs_and_merge():
-    # ((.,.),(.,.)) has sibling pairs at leaves 1 and 3
+def test_halves_and_tree_of_examples():
+    assert halves((0, 1), (1, 1)) == (0, 0)
+    assert halves((2, 2), (3, 2)) == (1, 1)
+    assert halves((1, 2), (2, 2)) is None  # adjacent, but under different carets
+    assert halves((1, 1), (0, 1)) is None
+    assert halves((0, 1), (2, 2)) is None
+    # ((.,.),(.,.)) has sibling leaves 1, 2 and 3, 4
     t = parse_tree("((.,.),(.,.))")
-    assert sibling_pairs(t) == [1, 3]
-    assert tree_text(merge_pair(t, 1)) == "(.,(.,.))"
-    assert tree_text(merge_pair(t, 3)) == "((.,.),.)"
+    a = leaf_addresses(t)
+    assert a == [(0, 2), (1, 2), (2, 2), (3, 2)]
+    assert [i for i in range(1, len(a)) if halves(a[i - 1], a[i])] == [1, 3]
+    assert tree_text(tree_of([(0, 1), (2, 2), (3, 2)])) == "(.,(.,.))"
+    assert tree_text(tree_of([(0, 2), (1, 2), (1, 1)])) == "((.,.),.)"
+    assert tree_of([(0, 0)]) is LEAF
+
+
+@pytest.mark.parametrize(
+    "addresses",
+    [[], [(0, 1)], [(1, 1), (0, 1)], [(0, 1), (2, 2), (2, 2), (3, 2)], [(0, 1), (0, 1)]],
+)
+def test_tree_of_rejects_non_tilings(addresses):
     with pytest.raises(ValueError):
-        merge_pair(t, 4)
+        tree_of(addresses)
 
 
-def test_split_then_merge_is_identity():
+def test_tree_of_inverts_leaf_addresses():
     rng = random.Random(4)
     for _ in range(100):
-        t = random_tree(rng.randint(0, 10), rng)
-        i = rng.randint(1, t.leaves)
-        assert merge_pair(split_leaf(t, i), i) == t
+        t = random_tree(rng.randint(0, 30), rng)
+        a = leaf_addresses(t)
+        assert leaf_addresses(tree_of(a)) == a
+        assert tree_of(a) == t
+    # deep trees: no recursion; compare addresses, since Tree.__eq__ recurses
+    left_comb = LEAF
+    for _ in range(5000):
+        left_comb = Tree(left_comb, LEAF)
+    for t in (right_comb(5000), left_comb):
+        a = leaf_addresses(t)
+        assert len(a) == 5001
+        assert leaf_addresses(tree_of(a)) == a
 
 
 def test_replace_leaf_and_fringe():
