@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import permutations as perms
 from .elements import Element
-from .trees import Tree, graft_fringe, right_comb
+from .trees import Tree, right_comb
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,10 @@ class CollapseResult:
 
 def _cluster_tree(sizes: list[int]) -> Tree:
     """Right comb with one leaf per cluster, each grafted with its own comb."""
-    spine = right_comb(len(sizes) - 1)
-    return graft_fringe(spine, [right_comb(k - 1) for k in sizes])
+    t = right_comb(sizes[-1] - 1)
+    for k in reversed(sizes[:-1]):
+        t = Tree(right_comb(k - 1), t)
+    return t
 
 
 def collapse_clusters(x: Element) -> CollapseResult:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import permutations as perms
 from .intervals import DyadicInterval, PiecewiseMap
@@ -22,8 +21,6 @@ from .trees import (
     Address,
     Scanner,
     Tree,
-    fringe_subtrees,
-    graft_fringe,
     halves,
     leaf_addresses,
     parse_tree_at,
@@ -44,11 +41,35 @@ def _merged(p: Piece, q: Piece) -> Piece | None:
     return (domain, image) if image else None
 
 
+def _cancelled(pieces: list[Piece]) -> list[Piece]:
+    """The pieces of the reduced diagram, in domain order.
+
+    One left-to-right pass with a stack: a piece merges with the top while
+    both its addresses are halves with the top's, so nothing is rescanned.
+    Reduced diagrams are unique, so the order of merges does not matter.
+    """
+    stack: list[Piece] = []
+    for piece in pieces:
+        while stack and (whole := _merged(stack[-1], piece)):
+            stack.pop()
+            piece = whole
+        stack.append(piece)
+    return stack
+
+
+def _relabel(a: Address, outer: Address, target: Address) -> Address:
+    """Where `a`, an interval inside `outer`, lands when `outer` maps affinely onto `target`."""
+    (num, exp), (m, f), (d, e) = a, outer, target
+    s = exp - f
+    return ((d << s) + num - (m << s), e + s)
+
+
 @dataclass(frozen=True)
 class Element:
     """A tree-pair diagram. `==` and hashing compare diagrams, so an element and
     its expansions are unequal; `equals` compares group elements (the reduced
-    diagrams). `==` stays structural because reducing costs a full tree walk.
+    diagrams). Trees are interned, so `==` is two identity checks and a
+    permutation compare, while reducing walks the whole diagram.
     """
 
     domain_tree: Tree
@@ -145,19 +166,9 @@ class Element:
         return Element._from_pieces(pieces)
 
     def reduce(self) -> Element:
-        """Unique reduced diagram of the same group element; self if already reduced.
-
-        One left-to-right pass with a stack: a piece merges with the top while
-        both its addresses are halves with the top's, so nothing is rescanned.
-        Reduced diagrams are unique, so the order of merges does not matter.
-        """
+        """Unique reduced diagram of the same group element; self if already reduced."""
         pieces = self._pieces()
-        stack: list[Piece] = []
-        for piece in pieces:
-            while stack and (whole := _merged(stack[-1], piece)):
-                stack.pop()
-                piece = whole
-            stack.append(piece)
+        stack = _cancelled(pieces)
         return self if len(stack) == len(pieces) else Element._from_pieces(stack)
 
     def is_reduced(self) -> bool:
@@ -174,27 +185,27 @@ class Element:
 
     # -- group operations ---------------------------------------------------
 
-    def expand_to_range(self, target: Tree) -> Element:
-        """Equivalent diagram whose range tree is `target` (a refinement)."""
-        subs = fringe_subtrees(self.range_tree, target)
-        sizes = [s.leaves for s in subs]
-        domain = graft_fringe(self.domain_tree, [subs[v - 1] for v in self.perm])
-        range_offset = [0, *accumulate(sizes)]
-        images: list[int] = []
-        for v in self.perm:
-            base = range_offset[v - 1]
-            images.extend(range(base + 1, base + sizes[v - 1] + 1))
-        return Element(domain, target, tuple(images))
-
     def __mul__(self, other: Element) -> Element:
-        """Composition "apply self, then other", reduced."""
+        """Composition "apply self, then other", reduced.
+
+        The range leaves of self and the domain leaves of other both tile
+        [0, 1). Each interval of their common refinement is pulled back
+        through self and pushed on through other: one piece of the product.
+        """
         if not isinstance(other, Element):
             return NotImplemented
-        middle = refine(self.range_tree, other.domain_tree)
-        a = self.expand_to_range(middle)
-        b = other.inverse().expand_to_range(middle)
-        perm = perms.compose(a.perm, perms.invert_perm(b.perm))
-        return Element(a.domain_tree, b.domain_tree, perm).reduce()
+        middle = leaf_addresses(self.range_tree)
+        theirs = other._pieces()
+        inside: list[list[tuple[Address, int]]] = [[] for _ in middle]
+        for c, i, j in refine(middle, [domain for domain, _ in theirs]):
+            inside[i].append((c, j))
+        # domain order: each domain leaf of self, split as its image is
+        pieces = [
+            (_relabel(c, middle[v - 1], domain), _relabel(c, *theirs[j]))
+            for domain, v in zip(leaf_addresses(self.domain_tree), self.perm)
+            for c, j in inside[v - 1]
+        ]
+        return Element._from_pieces(_cancelled(pieces))
 
     def inverse(self) -> Element:
         return Element(self.range_tree, self.domain_tree, perms.invert_perm(self.perm))
@@ -224,12 +235,9 @@ class Element:
         """Carets of the reduced diagram (both trees always agree)."""
         return self.reduce().domain_tree.carets
 
-    def cluster_partition(self) -> perms.ClusterPartition:
-        return perms.cluster_runs(self.reduce().perm)
-
     def cluster_count(self) -> int:
         """Clusters of the reduced permutation; diagram-independent."""
-        return len(self.cluster_partition())
+        return len(perms.cluster_runs(self.reduce().perm))
 
     def in_f(self) -> bool:
         return perms.is_identity(self.reduce().perm)

@@ -5,8 +5,9 @@ group equality and deduplication is exact. Levels are expanded whole: every
 element of level k is known before level k+1 starts, which makes enumeration
 order, ball sizes and reports deterministic. Point queries meet in the middle
 to double the reachable radius. Memory is capped by a byte budget that charges
-each stored element the bytes measured for its size; exceeding it raises a
-resource error naming the last completed radius.
+each stored element the bytes measured for it: a fixed cost, a word per leaf
+(trees are interned and shared) and its parent entry when parents are tracked.
+Exceeding it raises a resource error naming the last completed radius.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from .generators import GENERATOR_NAMES, GenSymbol, Word, symbol_element
 
 ENV_BUDGET = "THOMPSON_MEM_BUDGET_MB"
 DEFAULT_BUDGET_MB = 512
-# bytes held per element, fitted to tracemalloc of enumerate_ball at radius 5-6, parents on/off
-_ELEMENT_BYTES = 400
-_LEAF_BYTES = 96
+# bytes held per element, fitted to tracemalloc of enumerate_ball at radius 5-6, parents on/off;
+# trees are shared between elements, so a leaf costs about its entry in the permutation
+_ELEMENT_BYTES = 210
+_LEAF_BYTES = 8
+_PARENT_BYTES = 100
 
 
 class ResourceLimitError(RuntimeError):
@@ -74,8 +77,8 @@ class _Budget:
         self.limit = budget_mb << 20
         self.used = 0
 
-    def charge(self, e: Element, completed_radius: int) -> None:
-        self.used += _ELEMENT_BYTES + _LEAF_BYTES * e.n_leaves
+    def charge(self, e: Element, completed_radius: int, with_parent: bool = False) -> None:
+        self.used += _ELEMENT_BYTES + _LEAF_BYTES * e.n_leaves + _PARENT_BYTES * with_parent
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
 
@@ -130,7 +133,7 @@ def _expand(
             p = e * g
             if p not in dist:
                 dist[p] = depth
-                budget.charge(p, completed_radius)
+                budget.charge(p, completed_radius, parent is not None)
                 if parent is not None:
                     parent[p] = (e, symbol)
                 level.append(p)
@@ -147,7 +150,7 @@ def enumerate_ball(
     identity = Element.identity()
     distance = {identity: 0}
     parent: dict[Element, tuple[Element, GenSymbol]] | None = {} if track_parents else None
-    budget.charge(identity, 0)
+    budget.charge(identity, 0, track_parents)
     levels = [[identity]]
     for d in range(1, radius + 1):
         levels.append(_expand(levels[-1], distance, d, budget, d - 1, parent))

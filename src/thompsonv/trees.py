@@ -1,21 +1,26 @@
 """Full ordered binary trees: the two halves of a tree-pair diagram.
 
-Trees are immutable values. Internal nodes are carets; leaves are numbered
-1..n from left to right. Every caret has exactly two children, so a tree with
-N carets has N+1 leaves. Leaf counts and hashes are computed once at
-construction so that the search oracle can use trees as cheap keys.
+Internal nodes are carets; leaves are numbered 1..n from left to right. Every
+caret has exactly two children, so a tree with N carets has N+1 leaves.
+
+Trees are interned: `Tree(left, right)` returns the one live node of that
+shape, so equal trees are the same object, `==` and hashing are identity, and
+diagrams share their common subtrees. Nodes are immutable, and a node no live
+tree uses is freed.
 
 A leaf's address (num, exp) names its dyadic interval [num/2^exp, (num+1)/2^exp);
 the root's is (0, 0). Two leaves hang from one caret exactly when their
 addresses are the left and right halves of one interval (`halves`): that one
-rule rebuilds trees from their leaves (`tree_of`) and reduces diagrams.
+rule rebuilds trees from their leaves (`tree_of`) and reduces diagrams. Text
+is read and written through the addresses too, so no walk recurses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from threading import Lock
+from weakref import WeakValueDictionary
 
 from .intervals import DyadicInterval
 
@@ -28,22 +33,40 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Tree:
-    left: Tree | None = None
-    right: Tree | None = None
-    leaves: int = field(init=False, compare=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    """One node per shape: a leaf `Tree()`, or a caret `Tree(left, right)`."""
 
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
-            raise ValueError("a caret needs exactly two children")
-        if self.left is None:
-            object.__setattr__(self, "leaves", 1)
-            object.__setattr__(self, "_hash", hash((0, 0)))
-        else:
-            object.__setattr__(self, "leaves", self.left.leaves + self.right.leaves)
-            object.__setattr__(self, "_hash", hash((self.left._hash, self.right._hash)))
+    __slots__ = ("left", "right", "leaves", "__weakref__")
+    _nodes: WeakValueDictionary[tuple[Tree | None, Tree | None], Tree] = WeakValueDictionary()
+    _lock = Lock()
+
+    left: Tree | None
+    right: Tree | None
+    leaves: int
+
+    def __new__(cls, left: Tree | None = None, right: Tree | None = None) -> Tree:
+        node = cls._nodes.get((left, right))
+        if node is None:
+            if (left is None) != (right is None):
+                raise ValueError("a caret needs exactly two children")
+            with cls._lock:  # two threads must not create two nodes of one shape
+                node = cls._nodes.get((left, right))
+                if node is None:
+                    node = object.__new__(cls)
+                    object.__setattr__(node, "left", left)
+                    object.__setattr__(node, "right", right)
+                    object.__setattr__(node, "leaves", left.leaves + right.leaves if left else 1)
+                    cls._nodes[left, right] = node
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (Tree, (self.left, self.right))  # copies and unpickling intern again
 
     @property
     def is_leaf(self) -> bool:
@@ -53,25 +76,16 @@ class Tree:
     def carets(self) -> int:
         return self.leaves - 1
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        if self._hash != other._hash or self.leaves != other.leaves:
-            return False
-        if self.left is None or other.left is None:
-            return self.left is None and other.left is None
-        return self.left == other.left and self.right == other.right
-
     def __str__(self) -> str:
         return tree_text(self)
 
+    def __repr__(self) -> str:
+        return f"parse_tree({tree_text(self)!r})"
+
 
 LEAF = Tree()
+
+Address = tuple[int, int]
 
 
 def right_comb(carets_: int) -> Tree:
@@ -84,21 +98,18 @@ def right_comb(carets_: int) -> Tree:
     return t
 
 
+def _low_zeros(bits: int) -> int:
+    """Trailing zero bits of a positive int."""
+    return (bits & -bits).bit_length() - 1
+
+
 def tree_text(t: Tree) -> str:
-    parts: list[str] = []
-
-    def emit(node: Tree) -> None:
-        if node.is_leaf:
-            parts.append(".")
-        else:
-            parts.append("(")
-            emit(node.left)
-            parts.append(",")
-            emit(node.right)
-            parts.append(")")
-
-    emit(t)
-    return "".join(parts)
+    """Text form, leaf by leaf: leaf (num, exp) is the first leaf of one caret
+    per trailing 0 of num's exp bits, and the last leaf of one per trailing 1."""
+    return ",".join(
+        "(" * _low_zeros(num | 1 << exp) + "." + ")" * _low_zeros(num + 1)
+        for num, exp in leaf_addresses(t)
+    )
 
 
 class Scanner:
@@ -138,18 +149,26 @@ class Scanner:
 
 
 def parse_tree_at(sc: Scanner) -> Tree:
-    ch = sc.peek()
-    if ch == ".":
+    """Read one tree. The address of the node being read is the only state."""
+    addresses: list[Address] = []
+    num = exp = 0
+    while True:
+        ch = sc.peek()
+        if ch == "(":
+            sc.pos += 1
+            num, exp = num << 1, exp + 1
+            continue
+        if ch != ".":
+            raise ParseError(f"expected '.' or '(', got {ch or 'end of input'!r}", sc.pos)
         sc.pos += 1
-        return LEAF
-    if ch == "(":
-        sc.pos += 1
-        left = parse_tree_at(sc)
+        addresses.append((num, exp))
+        while num & 1:  # a right child ends its parent
+            sc.expect(")")
+            num, exp = num >> 1, exp - 1
+        if exp == 0:
+            return tree_of(addresses)
         sc.expect(",")
-        right = parse_tree_at(sc)
-        sc.expect(")")
-        return Tree(left, right)
-    raise ParseError(f"expected '.' or '(', got {ch or 'end of input'!r}", sc.pos)
+        num += 1
 
 
 def parse_tree(text: str) -> Tree:
@@ -157,9 +176,6 @@ def parse_tree(text: str) -> Tree:
     t = parse_tree_at(sc)
     sc.done()
     return t
-
-
-Address = tuple[int, int]
 
 
 def halves(a: Address, b: Address) -> Address | None:
@@ -203,58 +219,28 @@ def leaf_intervals(t: Tree) -> list[DyadicInterval]:
     return [DyadicInterval(num, exp) for num, exp in leaf_addresses(t)]
 
 
-def replace_leaf(t: Tree, i: int, sub: Tree) -> Tree:
-    """Graft `sub` in place of leaf i (1-indexed)."""
-    if not 1 <= i <= t.leaves:
-        raise ValueError(f"leaf index {i} out of range")
-    if t.is_leaf:
-        return sub
-    if i <= t.left.leaves:
-        return Tree(replace_leaf(t.left, i, sub), t.right)
-    return Tree(t.left, replace_leaf(t.right, i - t.left.leaves, sub))
+def refine(a: list[Address], b: list[Address]) -> list[tuple[Address, int, int]]:
+    """Common refinement of two tilings of [0, 1) by leaf addresses, left to right.
 
-
-def refine(a: Tree, b: Tree) -> Tree:
-    """Smallest tree refining both arguments (union of their subdivisions)."""
-    if a.is_leaf:
-        return b
-    if b.is_leaf:
-        return a
-    return Tree(refine(a.left, b.left), refine(a.right, b.right))
-
-
-def fringe_subtrees(coarse: Tree, fine: Tree) -> list[Tree]:
-    """Subtrees of `fine` hanging at the leaf positions of `coarse`.
-
-    Requires that `fine` refines `coarse`.
+    Each interval comes with the indices in `a` and `b` of the intervals that
+    contain it. Dyadic intervals that start at one point nest, so each step
+    takes the finer of a[i] and b[j] and moves past the ones that end with it.
     """
-    out: list[Tree] = []
-
-    def walk(c: Tree, f: Tree) -> None:
-        if c.is_leaf:
-            out.append(f)
-            return
-        if f.is_leaf:
-            raise ValueError("tree does not refine the coarse tree")
-        walk(c.left, f.left)
-        walk(c.right, f.right)
-
-    walk(coarse, fine)
+    out: list[tuple[Address, int, int]] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (num_a, exp_a), (num_b, exp_b) = a[i], b[j]
+        if exp_a >= exp_b:
+            out.append((a[i], i, j))
+            if num_a + 1 == (num_b + 1) << (exp_a - exp_b):  # a[i] ends b[j]
+                j += 1
+            i += 1
+        else:
+            out.append((b[j], i, j))
+            if num_b + 1 == (num_a + 1) << (exp_b - exp_a):  # b[j] ends a[i]
+                i += 1
+            j += 1
     return out
-
-
-def graft_fringe(t: Tree, subs: list[Tree]) -> Tree:
-    """Replace leaf i of t by subs[i-1] for every leaf."""
-    if len(subs) != t.leaves:
-        raise ValueError("one subtree per leaf required")
-    it = iter(subs)
-
-    def walk(node: Tree) -> Tree:
-        if node.is_leaf:
-            return next(it)
-        return Tree(walk(node.left), walk(node.right))
-
-    return walk(t)
 
 
 def spine_rotations_to_comb(t: Tree) -> list[int]:

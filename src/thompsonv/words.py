@@ -13,7 +13,7 @@ from . import permutations as perms
 from .collapse import collapse_clusters
 from .elements import Element
 from .generators import GenSymbol, Word, free_reduce, parse_word, power_word
-from .trees import LEAF, Tree, replace_leaf, right_comb, spine_rotations_to_comb
+from .trees import LEAF, Tree, right_comb, spine_rotations_to_comb
 
 _X0 = GenSymbol("x0")
 _X1 = GenSymbol("x1")
@@ -45,10 +45,10 @@ def x_word(k: int) -> Word:
 
 def rotation_element(k: int) -> Element:
     """The element x_k as an explicit diagram (used to pin down x_word)."""
-    domain = right_comb(k + 2)
-    bend = Tree(Tree(LEAF, LEAF), LEAF)
-    range_ = replace_leaf(right_comb(k), k + 1, bend)
-    return Element(domain, range_, perms.identity_perm(k + 3))
+    range_ = Tree(Tree(LEAF, LEAF), LEAF)  # the bend, under k spine carets
+    for _ in range(k):
+        range_ = Tree(LEAF, range_)
+    return Element(right_comb(k + 2), range_, perms.identity_perm(k + 3))
 
 
 def comb_perm_word(p: perms.Perm) -> Word:

@@ -11,7 +11,7 @@ from thompsonv.trees import (
     LEAF,
     ParseError,
     Tree,
-    graft_fringe,
+    leaf_addresses,
     leaf_intervals,
     random_tree,
     right_comb,
@@ -126,12 +126,17 @@ def test_reduce_and_expand_match_interval_map():
 
 
 def test_reduce_undoes_fringe_grafts():
-    # expand_to_range and graft_fringe are tree surgery; reduce works on addresses
+    # graft one random subtree of up to 3 carets under every leaf and under its
+    # image: subtree leaf (a, k) under leaf (d, e) is leaf ((d << k) + a, e + k)
     rng = random.Random(33)
     for _ in range(6):
         x = Element.random(rng.randint(100, 400), rng).reduce()
-        subtrees = [random_tree(rng.randint(0, 3), rng) for _ in range(x.n_leaves)]
-        grown = x.expand_to_range(graft_fringe(x.range_tree, subtrees))
+        pieces = []
+        for (d, e), (m, f) in x._pieces():
+            for a, k in leaf_addresses(random_tree(rng.randint(0, 3), rng)):
+                pieces.append((((d << k) + a, e + k), ((m << k) + a, f + k)))
+        grown = Element._from_pieces(pieces)
+        assert grown.n_leaves > x.n_leaves
         assert grown.reduce() == x
 
 
@@ -143,19 +148,27 @@ def test_multiply_examples():
 
 def test_multiply_matches_interval_map_composition():
     # independent oracle: compose the right-continuous maps pointwise;
-    # PiecewiseMap.apply shares no code with the tree surgery in * and inverse
+    # PiecewiseMap.apply shares no code with the address arithmetic in *
     rng = random.Random(25)
+
+    def check(a: Element, b: Element) -> None:
+        product_map = (a * b).interval_map()
+        ma, mb = a.interval_map(), b.interval_map()
+        inverse_map = a.inverse().interval_map()
+        for _ in range(6):
+            t = Fraction(rng.randrange(0, 1 << 32), 1 << 32)
+            assert product_map.apply(t) == mb.apply(ma.apply(t))
+            assert inverse_map.apply(ma.apply(t)) == t
+
     for max_carets, count in ((6, 150), (40, 40)):
         for _ in range(count):
             a = random_raw_element(rng.randint(1, max_carets), rng)
             b = random_raw_element(rng.randint(1, max_carets), rng)
-            product_map = (a * b).interval_map()
-            ma, mb = a.interval_map(), b.interval_map()
-            inverse_map = a.inverse().interval_map()
-            for _ in range(6):
-                t = Fraction(rng.randrange(0, 1 << 32), 1 << 32)
-                assert product_map.apply(t) == mb.apply(ma.apply(t))
-                assert inverse_map.apply(ma.apply(t)) == t
+            check(a, b)
+    # a 2000-caret comb: the product walks no tree recursively
+    images = list(range(1, 2002))
+    rng.shuffle(images)
+    check(Element(right_comb(2000), right_comb(2000), tuple(images)), random_raw_element(200, rng))
 
 
 def test_multiply_associative_identity_neutral():

@@ -1,5 +1,9 @@
+import copy
+import gc
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,15 +12,12 @@ from thompsonv.trees import (
     ParseError,
     Tree,
     catalan,
-    fringe_subtrees,
-    graft_fringe,
     halves,
     leaf_addresses,
     leaf_intervals,
     parse_tree,
     random_tree,
     refine,
-    replace_leaf,
     right_comb,
     spine_rotations_to_comb,
     tree_of,
@@ -24,10 +25,40 @@ from thompsonv.trees import (
 )
 
 
+def left_comb(carets: int) -> Tree:
+    t = LEAF
+    for _ in range(carets):
+        t = Tree(t, LEAF)
+    return t
+
+
 def test_parse_smallest_trees():
     assert parse_tree(".") is LEAF
-    assert parse_tree("(.,.)") == Tree(LEAF, LEAF)
-    assert parse_tree("(.,(.,.))") == right_comb(2)
+    assert parse_tree("(.,.)") is Tree(LEAF, LEAF)
+    assert parse_tree("(.,(.,.))") is right_comb(2)
+
+
+def test_trees_are_interned_and_freed():
+    assert Tree() is LEAF
+    assert Tree(LEAF, right_comb(1)) is right_comb(2)
+    with pytest.raises(ValueError):
+        Tree(LEAF)
+    with pytest.raises(AttributeError):
+        right_comb(1).left = LEAF
+    with pytest.raises(AttributeError):
+        del right_comb(1).left
+    assert right_comb(1).left is LEAF
+    assert repr(right_comb(1)) == "parse_tree('(.,.)')"
+    shape = parse_tree("((.,.),(.,(.,.)))")
+    assert copy.deepcopy(shape) is shape
+    assert pickle.loads(pickle.dumps(shape)) is shape
+    gc.collect()
+    before = len(Tree._nodes)
+    t = random_tree(60, random.Random(8))
+    assert len(Tree._nodes) > before
+    del t
+    gc.collect()
+    assert len(Tree._nodes) == before
 
 
 def test_parse_ignores_whitespace():
@@ -45,7 +76,12 @@ def test_parse_print_round_trip_random():
     rng = random.Random(1)
     for _ in range(200):
         t = random_tree(rng.randint(0, 12), rng)
-        assert parse_tree(tree_text(t)) == t
+        assert parse_tree(tree_text(t)) is t
+    # deep trees: no recursion
+    for t in (right_comb(5000), left_comb(5000)):
+        text = tree_text(t)
+        assert len(text) == 4 * 5000 + 1
+        assert parse_tree(text) is t
 
 
 def test_right_comb():
@@ -112,37 +148,40 @@ def test_tree_of_inverts_leaf_addresses():
     rng = random.Random(4)
     for _ in range(100):
         t = random_tree(rng.randint(0, 30), rng)
-        a = leaf_addresses(t)
-        assert leaf_addresses(tree_of(a)) == a
-        assert tree_of(a) == t
-    # deep trees: no recursion; compare addresses, since Tree.__eq__ recurses
-    left_comb = LEAF
-    for _ in range(5000):
-        left_comb = Tree(left_comb, LEAF)
-    for t in (right_comb(5000), left_comb):
+        assert tree_of(leaf_addresses(t)) is t
+    # deep trees: no recursion
+    for t in (right_comb(5000), left_comb(5000)):
         a = leaf_addresses(t)
         assert len(a) == 5001
-        assert leaf_addresses(tree_of(a)) == a
+        assert tree_of(a) is t
 
 
-def test_replace_leaf_and_fringe():
-    comb = right_comb(2)
-    sub = parse_tree("((.,.),.)")
-    grown = replace_leaf(comb, 2, sub)
-    assert fringe_subtrees(comb, grown) == [LEAF, sub, LEAF]
-    assert graft_fringe(comb, [LEAF, sub, LEAF]) == grown
+def span(address: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    num, exp = address
+    return Fraction(num, 1 << exp), Fraction(num + 1, 1 << exp)
 
 
 def test_refine_is_upper_bound():
     rng = random.Random(5)
     for _ in range(100):
-        a = random_tree(rng.randint(0, 8), rng)
-        b = random_tree(rng.randint(0, 8), rng)
+        a = leaf_addresses(random_tree(rng.randint(0, 8), rng))
+        b = leaf_addresses(random_tree(rng.randint(0, 8), rng))
         r = refine(a, b)
-        # refine(a, b) must refine both: fringe extraction succeeds
-        fringe_subtrees(a, r)
-        fringe_subtrees(b, r)
-        assert refine(a, a) == a
+        assert [c for c, _, _ in refine(a, a)] == a
+        # the output tiles [0, 1) left to right, and each piece is one of the inputs
+        assert span(r[0][0])[0] == 0 and span(r[-1][0])[1] == 1
+        for (c, _, _), (d, _, _) in zip(r, r[1:]):
+            assert span(c)[1] == span(d)[0]
+        assert all(c in (a[i], b[j]) for c, i, j in r)
+        # each input interval is the union of a contiguous run of output intervals
+        for side, tiling in ((1, a), (2, b)):
+            indices = [piece[side] for piece in r]
+            assert indices == sorted(indices)
+            assert sorted(set(indices)) == list(range(len(tiling)))
+            for k, interval in enumerate(tiling):
+                run = [piece[0] for piece in r if piece[side] == k]
+                assert span(run[0])[0] == span(interval)[0]
+                assert span(run[-1])[1] == span(interval)[1]
 
 
 def test_spine_rotations_reach_comb():

@@ -182,12 +182,8 @@ def test_synthesize_round_trip_random():
 
 
 def test_synthesize_sweep_within_cluster_bound():
-    """|w| <= 5 (N + B log2 B) for N = 8..512; round trips checked up to N = 32.
-
-    N = 1024 still overflows the default recursion limit in the recursive
-    tree walks, so the sweep stops at 512 until those walks are iterative.
-    """
-    for n in (8, 16, 32, 64, 128, 256, 512):
+    """|w| <= 5 (N + B log2 B) for N = 8..1024; round trips checked up to N = 32."""
+    for n in (8, 16, 32, 64, 128, 256, 512, 1024):
         for seed in range(3):
             x = random_element(n, random.Random(seed))
             word = synthesize_word(x)
