@@ -64,7 +64,7 @@ def _relabel(a: Address, outer: Address, target: Address) -> Address:
     return ((d << s) + num - (m << s), e + s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A tree-pair diagram. `==` and hashing compare diagrams, so an element and
     its expansions are unequal; `equals` compares group elements (the reduced

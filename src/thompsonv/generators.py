@@ -9,7 +9,6 @@ left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .elements import Element
 from .trees import ParseError
@@ -45,9 +44,16 @@ class GenSymbol:
 Word = tuple[GenSymbol, ...]
 
 
-@lru_cache(maxsize=None)
+# The eight right-multiplication moves in breadth-first search order: the
+# generators x0 x1 c pi, then their inverses.
+MOVES: dict[GenSymbol, Element] = {
+    GenSymbol(name): Element.parse(text) for name, text in _GENERATOR_TEXT.items()
+}
+MOVES.update({s.inverse(): g.inverse() for s, g in list(MOVES.items())})
+
+
 def generator_element(name: str) -> Element:
-    return Element.parse(_GENERATOR_TEXT[name])
+    return MOVES[GenSymbol(name)]
 
 
 def standard_generators() -> list[Element]:
@@ -55,10 +61,8 @@ def standard_generators() -> list[Element]:
     return [generator_element(name) for name in GENERATOR_NAMES]
 
 
-@lru_cache(maxsize=None)
 def symbol_element(symbol: GenSymbol) -> Element:
-    g = generator_element(symbol.name)
-    return g if symbol.exp == 1 else g.inverse()
+    return MOVES[symbol]
 
 
 def format_word(word: Word) -> str:

@@ -75,8 +75,9 @@ class PiecewiseMap:
 
     def __post_init__(self) -> None:
         _check_tiling([s for s, _ in self.pieces], "source")
-        targets = sorted((t for _, t in self.pieces), key=lambda iv: iv.left)
-        _check_tiling(targets, "target")
+        targets = [t for _, t in self.pieces]
+        top = max(t.exp for t in targets)  # left ends compared as integers over 2^top
+        _check_tiling(sorted(targets, key=lambda t: t.num << (top - t.exp)), "target")
 
     def __len__(self) -> int:
         return len(self.pieces)

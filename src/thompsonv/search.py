@@ -16,13 +16,13 @@ import os
 from dataclasses import dataclass
 
 from .elements import Element
-from .generators import GENERATOR_NAMES, GenSymbol, Word, symbol_element
+from .generators import MOVES, GenSymbol, Word
 
 ENV_BUDGET = "THOMPSON_MEM_BUDGET_MB"
 DEFAULT_BUDGET_MB = 512
 # bytes held per element, fitted to tracemalloc of enumerate_ball at radius 5-6, parents on/off;
 # trees are shared between elements, so a leaf costs about its entry in the permutation
-_ELEMENT_BYTES = 210
+_ELEMENT_BYTES = 165
 _LEAF_BYTES = 8
 _PARENT_BYTES = 100
 
@@ -63,12 +63,6 @@ class LengthResult:
 
     def __str__(self) -> str:
         return str(self.length) if self.known else f"unknown beyond radius {self.radius}"
-
-
-def moves() -> list[tuple[GenSymbol, Element]]:
-    """The eight right-multiplication moves, in a fixed deterministic order."""
-    symbols = [GenSymbol(name, exp) for exp in (1, -1) for name in GENERATOR_NAMES]
-    return [(s, symbol_element(s)) for s in symbols]
 
 
 class _Budget:
@@ -122,14 +116,13 @@ def _expand(
     frontier: list[Element], dist: dict[Element, int], depth: int, budget: _Budget,
     completed_radius: int, parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
 ) -> list[Element]:
-    """The next BFS level in discovery order: frontier times `moves()`.
+    """The next BFS level in discovery order: frontier times `MOVES`.
 
     New products get distance `depth`; a budget overrun names `completed_radius`.
     """
     level: list[Element] = []
-    the_moves = moves()
     for e in frontier:
-        for symbol, g in the_moves:
+        for symbol, g in MOVES.items():
             p = e * g
             if p not in dist:
                 dist[p] = depth

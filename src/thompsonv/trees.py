@@ -136,7 +136,7 @@ class Scanner:
     def read_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -249,17 +249,17 @@ def spine_rotations_to_comb(t: Tree) -> list[int]:
     Each entry k is a right rotation ((A,B),C) -> (A,(B,C)) applied at the
     node k steps down the right spine. The schedule is non-decreasing in k,
     which keeps the generator words it induces short.
+
+    Depth k is rotated as often as leaf k's exponent (Cannon-Floyd-Parry):
+    the carets whose first leaf is leaf k, less the highest of them if it
+    lies on the right spine. Both are read off the leaf's address.
     """
     ks: list[int] = []
-    k = 0
-    s = t
-    while not s.is_leaf:
-        if s.left.is_leaf:
-            s = s.right
-            k += 1
-        else:
-            s = Tree(s.left.left, Tree(s.left.right, s.right))
-            ks.append(k)
+    for k, (num, exp) in enumerate(leaf_addresses(t)):
+        z = _low_zeros(num | 1 << exp)  # carets whose first leaf is leaf k
+        if z and (num >> z) + 1 == 1 << (exp - z):  # the highest is on the right spine
+            z -= 1
+        ks += [k] * z
     return ks
 
 

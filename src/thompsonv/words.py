@@ -57,55 +57,46 @@ def comb_perm_word(p: perms.Perm) -> Word:
     Pass b walks the range leaves in order and stably splits them by bit b of
     p[i]-1 onto a zero stack Z and a one stack O, one root pattern per leaf;
     an F word then turns the tree (Z, O) back into the comb. Each pass costs
-    O(len(p)) symbols, and only the stack shapes are tracked.
+    O(len(p)) symbols. Z and O are left combs, so only their sizes are
+    tracked: (Z, O) rotates z-1 times at depth 0 and o-2 times at depth z.
     """
     n = len(p)
-    comb = right_comb(n - 1)
-    ident = perms.identity_perm(n)
     order = list(range(n))  # domain leaves (0-based) in range order
     word: list[GenSymbol] = []
     for b in range((n - 1).bit_length()):
-        zero = one = None  # both end non-empty: keys 0 and 2^b < n differ in bit b
+        size = [0, 0]  # of Z and O; both end non-empty: keys 0 and 2^b < n differ in bit b
         for j, i in enumerate(order):
             bit = (p[i] - 1) >> b & 1
             last = j == n - 1
             if j == 0:
                 pass  # the first leaf is a stack by itself
-            elif zero is not None and one is not None:
+            elif all(size):
                 if bit:
                     word += _LAST_TO_O if last else _TO_O
                 else:
                     word += _LAST_TO_Z if last else _TO_Z
-            elif zero is None and not bit:
+            elif not size[0] and not bit:
                 word += _LAST_START_Z if last else _START_Z
             elif not last:
                 word += _JOIN
-            if bit:
-                one = LEAF if one is None else Tree(one, LEAF)
-            else:
-                zero = LEAF if zero is None else Tree(zero, LEAF)
-        word += f_normal_form_word(Element(Tree(zero, one), comb, ident))
+            size[bit] += 1
+        z, o = size
+        word += _f_word([0] * (z - 1) + [z] * (o - 2), [])
         order.sort(key=lambda i: (p[i] - 1) >> b & 1)
     return free_reduce(tuple(word))
 
 
-def f_normal_form_word(f: Element) -> Word:
-    """Word over {x0, x1} for an order-preserving element.
+def _f_word(domain: list[int], range_: list[int]) -> Word:
+    """The F element with these rotation schedules, not yet freely reduced.
 
-    Both trees of the reduced diagram are rotated onto the right comb; the
-    domain schedule is emitted inverted, the range schedule reversed. Each
-    x_k^e = x0^(k-1) x1^e x0^-(k-1) is emitted with its x0 powers merged into
-    one pending exponent, and the non-decreasing schedules make those powers
+    The domain schedule is emitted inverted, the range schedule reversed.
+    Each x_k^e = x0^(k-1) x1^e x0^-(k-1) is emitted with its x0 powers merged
+    into one pending exponent, and non-decreasing schedules make those powers
     telescope, so the word has O(N) symbols and is built in O(N) steps.
     """
-    f = f.reduce()
-    if not perms.is_identity(f.perm):
-        raise ValueError("element is not order-preserving")
-    steps = [(k, -1) for k in spine_rotations_to_comb(f.domain_tree)]
-    steps += [(k, 1) for k in reversed(spine_rotations_to_comb(f.range_tree))]
     word: list[GenSymbol] = []
     pending = 0  # exponent of x0 not yet emitted
-    for k, e in steps:
+    for k, e in [(k, -1) for k in domain] + [(k, 1) for k in reversed(range_)]:
         if k == 0:
             pending += e
         else:
@@ -113,7 +104,17 @@ def f_normal_form_word(f: Element) -> Word:
             word.append(GenSymbol("x1", e))
             pending = 1 - k
     word += power_word("x0", pending)
-    return free_reduce(tuple(word))
+    return tuple(word)
+
+
+def f_normal_form_word(f: Element) -> Word:
+    """Word over {x0, x1} for an order-preserving element, of O(N) symbols:
+    both trees of the reduced diagram are rotated onto the right comb."""
+    f = f.reduce()
+    if not perms.is_identity(f.perm):
+        raise ValueError("element is not order-preserving")
+    domain, range_ = spine_rotations_to_comb(f.domain_tree), spine_rotations_to_comb(f.range_tree)
+    return free_reduce(_f_word(domain, range_))
 
 
 def synthesize_word(x: Element) -> Word:

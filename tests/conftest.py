@@ -5,6 +5,15 @@ from __future__ import annotations
 import random
 
 from thompsonv.elements import Element
+from thompsonv.trees import LEAF, Tree
+
+
+def left_comb(carets: int) -> Tree:
+    """Tree in which every right child is a leaf."""
+    t = LEAF
+    for _ in range(carets):
+        t = Tree(t, LEAF)
+    return t
 
 
 def random_raw_element(carets: int, rng: random.Random) -> Element:

@@ -44,6 +44,9 @@ def test_parse_and_text_round_trip():
         Element.parse("(.,.)|(.,.)")
     with pytest.raises(ParseError):
         Element.parse("(.,.)|(.,.)|[2,1")
+    with pytest.raises(ParseError) as err:  # a digit that int() rejects
+        Element.parse("(.,.)|(.,.)|[²,1]")
+    assert err.value.offset == 13
 
 
 def test_parse_print_round_trip_random():
@@ -168,7 +171,7 @@ def test_multiply_matches_interval_map_composition():
     # a 2000-caret comb: the product walks no tree recursively
     images = list(range(1, 2002))
     rng.shuffle(images)
-    check(Element(right_comb(2000), right_comb(2000), tuple(images)), random_raw_element(200, rng))
+    check(Element(right_comb(2000), right_comb(2000), tuple(images)), random_raw_element(2000, rng))
 
 
 def test_multiply_associative_identity_neutral():

@@ -119,7 +119,6 @@ def test_budget_charges_what_the_ball_holds(monkeypatch, track_parents):
             budgets.append(self)
 
     monkeypatch.setattr(search, "_Budget", RecordingBudget)
-    search.moves()  # the cached generator elements are not part of the ball
     tracemalloc.start()
     try:
         ball = enumerate_ball(5, track_parents=track_parents)

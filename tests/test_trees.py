@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import left_comb
 from thompsonv.trees import (
     LEAF,
     ParseError,
@@ -23,13 +24,6 @@ from thompsonv.trees import (
     tree_of,
     tree_text,
 )
-
-
-def left_comb(carets: int) -> Tree:
-    t = LEAF
-    for _ in range(carets):
-        t = Tree(t, LEAF)
-    return t
 
 
 def test_parse_smallest_trees():
@@ -186,8 +180,8 @@ def test_refine_is_upper_bound():
 
 def test_spine_rotations_reach_comb():
     rng = random.Random(6)
-    for _ in range(100):
-        t = random_tree(rng.randint(0, 12), rng)
+    for _ in range(300):
+        t = random_tree(rng.randint(0, 40), rng)
         ks = spine_rotations_to_comb(t)
         # replay the schedule rotation by rotation
         cur = t

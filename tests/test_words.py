@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import random_element
+from conftest import left_comb, random_element
 from thompsonv import permutations as perms
 from thompsonv import words
 from thompsonv.elements import Element
@@ -18,7 +19,7 @@ from thompsonv.generators import (
     symbol_element,
 )
 from thompsonv.search import exact_word_length
-from thompsonv.trees import ParseError, random_tree, right_comb, spine_rotations_to_comb
+from thompsonv.trees import LEAF, ParseError, Tree, random_tree, right_comb, spine_rotations_to_comb
 from thompsonv.words import (
     comb_perm_word,
     f_normal_form_word,
@@ -110,6 +111,58 @@ def test_comb_perm_word_random():
         p = tuple(p)
         target = Element(right_comb(n - 1), right_comb(n - 1), p)
         assert evaluate_word(comb_perm_word(p)).equals(target)
+
+
+def _tree_stack_comb_perm_word(p):
+    """Reference: the radix sort with both stacks grown as trees, each pass
+    ended by the F word of the diagram (Tree(Z, O), comb, identity)."""
+    n = len(p)
+    comb = right_comb(n - 1)
+    order = list(range(n))
+    word = []
+    for b in range((n - 1).bit_length()):
+        zero = one = None
+        for j, i in enumerate(order):
+            bit = (p[i] - 1) >> b & 1
+            last = j == n - 1
+            if j == 0:
+                pass
+            elif zero is not None and one is not None:
+                if bit:
+                    word += words._LAST_TO_O if last else words._TO_O
+                else:
+                    word += words._LAST_TO_Z if last else words._TO_Z
+            elif zero is None and not bit:
+                word += words._LAST_START_Z if last else words._START_Z
+            elif not last:
+                word += words._JOIN
+            if bit:
+                one = LEAF if one is None else Tree(one, LEAF)
+            else:
+                zero = LEAF if zero is None else Tree(zero, LEAF)
+        word += f_normal_form_word(Element(Tree(zero, one), comb, perms.identity_perm(n)))
+        order.sort(key=lambda i: (p[i] - 1) >> b & 1)
+    return free_reduce(tuple(word))
+
+
+def test_comb_perm_word_matches_tree_stacks():
+    for n in range(1, 7):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert comb_perm_word(p) == _tree_stack_comb_perm_word(p), p
+    rng = random.Random(46)
+    for _ in range(20):
+        p = list(range(1, rng.randint(7, 300) + 1))
+        rng.shuffle(p)
+        assert comb_perm_word(tuple(p)) == _tree_stack_comb_perm_word(tuple(p)), len(p)
+
+
+def test_stack_pair_schedule_closed_form():
+    """(Z, O) with left combs of z and o leaves rotates z-1 times at depth 0
+    and o-2 times at depth z, the schedule comb_perm_word emits."""
+    for z in range(1, 65):
+        for o in range(1, 65):
+            expected = [0] * (z - 1) + [z] * (o - 2)
+            assert spine_rotations_to_comb(Tree(left_comb(z - 1), left_comb(o - 1))) == expected, (z, o)
 
 
 def test_f_normal_form_examples():
