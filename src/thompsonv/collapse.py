@@ -1,9 +1,9 @@
 """Cluster collapse: conjugation-free tree surgery that shrinks a diagram.
 
 Pre- and post-composing an element with order-preserving elements can reshape
-both trees at will. Choosing the reshaped trees so that every cluster carries
-the same comb on both sides makes each cluster cancel to a single leaf: the
-result has one leaf per cluster and an all-singleton induced permutation.
+both trees at will. Giving every cluster the same comb on both sides makes it
+cancel to one leaf, so the result has one leaf per cluster and depends only on
+the order of the clusters' images: it is counted, not multiplied out.
 """
 
 from __future__ import annotations
@@ -35,20 +35,19 @@ def _cluster_tree(sizes: list[int]) -> Tree:
 def collapse_clusters(x: Element) -> CollapseResult:
     """Order-preserving y, z with y*x*z reduced to one leaf per cluster.
 
-    The constructed diagrams of y and z each have exactly caret_count(x)
-    carets per tree before any incidental reduction; the collapsed element
-    has cluster_count(x) leaves and only singleton clusters.
+    The diagrams of y and z have caret_count(x) carets per tree. Each cluster's
+    comb cancels to one leaf and no caret more does, as clusters are maximal,
+    so y*x*z is (comb, comb, tau) with tau ranking the clusters' first images.
     """
     x = x.reduce()
     partition = perms.cluster_runs(x.perm)
-    domain_sizes = partition.sizes()
-    image_order = sorted(partition.runs, key=lambda run: x.perm[run[0] - 1])
-    image_sizes = [last - first + 1 for first, last in image_order]
-
+    sizes = partition.sizes()
+    by_image = sorted(range(len(partition)), key=lambda k: x.perm[partition.runs[k][0] - 1])
     ident = perms.identity_perm(x.n_leaves)
-    a = _cluster_tree(domain_sizes)
-    a_image = _cluster_tree(image_sizes)
+    a = _cluster_tree(sizes)
+    a_image = _cluster_tree([sizes[k] for k in by_image])
     y = Element(a, x.domain_tree, ident)
     z = Element(x.range_tree, a_image, ident)
-    collapsed = y * x * z
+    comb = right_comb(len(partition) - 1)
+    collapsed = Element(comb, comb, perms.invert_perm(tuple(k + 1 for k in by_image)))
     return CollapseResult(y, z, collapsed, a.carets, a_image.carets)

@@ -96,6 +96,10 @@ def survey_bounds(
     count: int, carets: int, radius: int, seed: int, budget_mb: int | None = None
 ) -> list[SurveyRecord]:
     """Records for seeded random elements; exact lengths where the ball reaches."""
+    if count < 0:
+        raise ValueError("survey count must be non-negative")
+    if carets < 1:
+        raise ValueError("caret count must be positive")
     ball = enumerate_ball(radius, budget_mb=budget_mb, track_parents=False)
     rng = random.Random(seed)
     records = []

@@ -18,7 +18,6 @@ is read and written through the addresses too, so no walk recurses.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from threading import Lock
 from weakref import WeakValueDictionary
 
@@ -263,7 +262,6 @@ def spine_rotations_to_comb(t: Tree) -> list[int]:
     return ks
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
@@ -271,15 +269,35 @@ def catalan(n: int) -> int:
 def random_tree(carets_: int, rng) -> Tree:
     """Uniform full binary tree with the given caret count.
 
-    Splits the root caret with exact Catalan weights, so every shape has
-    probability 1/catalan(carets).
+    Splits each caret with exact Catalan weights, so every shape has
+    probability 1/catalan(carets). Splits are drawn in pre-order, and each is
+    searched from the nearer end of its weights C(k) C(m-1-k), which are
+    symmetric in k, so large trees cost little more than their size.
     """
-    if carets_ == 0:
-        return LEAF
-    r = rng.randrange(catalan(carets_))
-    acc = 0
+    if carets_ < 0:
+        raise ValueError("caret count must be non-negative")
+    cat = [1]  # C(k+1) = C(k) 2(2k+1) / (k+2)
     for k in range(carets_):
-        acc += catalan(k) * catalan(carets_ - 1 - k)
-        if r < acc:
-            return Tree(random_tree(k, rng), random_tree(carets_ - 1 - k, rng))
-    raise AssertionError("catalan weights do not sum")
+        cat.append(cat[k] * 2 * (2 * k + 1) // (k + 2))
+
+    def left_carets(m: int) -> int:
+        r = rng.randrange(cat[m])
+        s = min(r, cat[m] - 1 - r)
+        k, acc = 0, cat[m - 1]
+        while s >= acc:
+            k += 1
+            acc += cat[k] * cat[m - 1 - k]
+        return k if s == r else m - 1 - k
+
+    sizes = []  # caret counts of the subtrees, in pre-order
+    todo = [carets_]
+    while todo:
+        m = todo.pop()
+        sizes.append(m)
+        if m:
+            k = left_carets(m)
+            todo += [m - 1 - k, k]
+    built: list[Tree] = []
+    for m in reversed(sizes):
+        built.append(Tree(built.pop(), built.pop()) if m else LEAF)
+    return built[0]

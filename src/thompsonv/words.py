@@ -120,13 +120,10 @@ def f_normal_form_word(f: Element) -> Word:
 def synthesize_word(x: Element) -> Word:
     """A word over all four generators evaluating to x, of length O(N + B log2 B).
 
-    Elements of F get their F word; otherwise x = y^-1 * collapsed * z^-1 via
-    the cluster collapse, and collapsed is (comb, comb, tau) on B leaves
-    because clusters are maximal, so tau needs no reshaping before the sort.
+    x = y^-1 * collapsed * z^-1 via the cluster collapse, and collapsed is
+    (comb, comb, tau) on B leaves, so tau needs no reshaping before the sort.
+    Elements of F have tau = (1,) and an empty sort word.
     """
-    x = x.reduce()
-    if perms.is_identity(x.perm):
-        return f_normal_form_word(x)
     res = collapse_clusters(x)
     word = (
         f_normal_form_word(res.y.inverse())

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import thompsonv
 from thompsonv.cli import main
 from thompsonv.elements import Element
 
@@ -142,6 +148,10 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
     assert code == 1 and "cluster count" in err
     code, _, err = run(capsys, "ball", "--radius", "2", "--budget-mb", "-1")
     assert code == 1 and "--budget-mb" in err
+    code, out, err = run(capsys, "survey", "--count", "-1", "--radius", "2")
+    assert code == 1 and out == "" and "count" in err
+    code, out, err = run(capsys, "survey", "--carets", "0", "--radius", "2")
+    assert code == 1 and out == "" and "caret count" in err
     for value in ("-3", "abc"):
         monkeypatch.setenv("THOMPSON_MEM_BUDGET_MB", value)
         code, _, err = run(capsys, "length", "(.,.)|(.,.)|[2,1]", "--radius", "2")
@@ -163,3 +173,25 @@ def test_element_outputs_reparse(capsys):
     ):
         _, out, _ = run(capsys, *argv)
         Element.parse(out.strip())  # canonical text round trips
+
+
+def test_module_entry_point_exit_codes():
+    """`python -m thompsonv` in a fresh interpreter: the exit codes and no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(thompsonv.__file__).parents[1]))
+    env.pop("THOMPSON_MEM_BUDGET_MB", None)
+
+    def run_module(*argv, **extra_env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thompsonv", *argv],
+            capture_output=True,
+            text=True,
+            env={**env, **extra_env},
+            timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, proc.stdout
+
+    assert run_module("reduce", "(.,.)|(.,.)|[1,2]") == (0, ".|.|[1]\n")
+    assert run_module("reduce", "(.,.)|(.,.)|[1,1]")[0] == 1
+    assert run_module("survey", "--count", "-1") == (1, "")
+    assert run_module("ball", "--radius", "3", THOMPSON_MEM_BUDGET_MB="0")[0] == 2

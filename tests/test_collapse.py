@@ -1,10 +1,13 @@
+import itertools
 import random
 
 from conftest import random_element
 from thompsonv import permutations as perms
 from thompsonv.collapse import collapse_clusters
 from thompsonv.elements import Element
-from thompsonv.generators import generator_element
+from thompsonv.generators import MOVES, generator_element
+from thompsonv.trees import random_tree
+from thompsonv.words import synthesize_word
 
 
 def test_collapse_of_f_element_is_identity():
@@ -42,3 +45,29 @@ def test_collapse_on_identity():
     res = collapse_clusters(Element.identity())
     assert res.collapsed.equals(Element.identity())
     assert res.y_diagram_carets == 0
+
+
+def test_collapsed_is_the_product_as_a_diagram():
+    # `collapsed` is counted off the cluster runs; the product it stands for
+    # must be that very diagram, not just the same group element.
+    rng = random.Random(16)
+    xs = [Element.identity(), *MOVES.values()]
+    for n in range(1, 7):
+        for images in itertools.permutations(range(1, n + 1)):
+            xs.append(Element(random_tree(n - 1, rng), random_tree(n - 1, rng), images))
+    for x in xs:
+        res = collapse_clusters(x)
+        assert res.collapsed == res.y * x * res.z
+
+
+def test_collapse_and_synthesis_compute_no_product(monkeypatch):
+    rng = random.Random(17)
+    xs = [random_element(rng.randint(1, 12), rng) for _ in range(20)]
+
+    def no_product(self, other):
+        raise AssertionError("diagram product computed")
+
+    monkeypatch.setattr(Element, "__mul__", no_product)
+    for x in xs:
+        collapse_clusters(x)
+        synthesize_word(x)

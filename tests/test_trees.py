@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import math
 import pickle
@@ -209,3 +210,37 @@ def test_random_tree_hits_every_shape():
     rng = random.Random(7)
     seen = {tree_text(random_tree(3, rng)) for _ in range(500)}
     assert len(seen) == catalan(3) == 5
+
+
+_cached_catalan = functools.lru_cache(maxsize=None)(catalan)
+
+
+def _reference_random_tree(carets: int, rng: random.Random) -> Tree:
+    """The recursive sampler with a left-to-right split search: the reference."""
+    if carets == 0:
+        return LEAF
+    r = rng.randrange(_cached_catalan(carets))
+    acc = 0
+    for k in range(carets):
+        acc += _cached_catalan(k) * _cached_catalan(carets - 1 - k)
+        if r < acc:
+            return Tree(_reference_random_tree(k, rng), _reference_random_tree(carets - 1 - k, rng))
+    raise AssertionError("catalan weights do not sum")
+
+
+def test_random_tree_matches_reference_sampler():
+    # Same draws, same trees: the split searched from either end is the same split.
+    for n in [*range(61), 1000]:
+        for seed in range(3 if n == 1000 else 10):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert random_tree(n, rng) is _reference_random_tree(n, ref_rng), (n, seed)
+            assert rng.random() == ref_rng.random()
+
+
+def test_random_tree_large_input():
+    # Large legal input: each split is searched from the nearer end, and no
+    # recursion limit bounds the depth of the tree.
+    t = random_tree(10_000, random.Random(3))
+    assert t.carets == 10_000
+    with pytest.raises(ValueError):
+        random_tree(-1, random.Random(3))

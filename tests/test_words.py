@@ -219,6 +219,31 @@ def test_synthesize_examples():
     assert evaluate_word(synthesize_word(swap)).equals(swap)
 
 
+def _all_trees(carets: int) -> list[Tree]:
+    if carets == 0:
+        return [LEAF]
+    return [
+        Tree(left, right)
+        for k in range(carets)
+        for left in _all_trees(k)
+        for right in _all_trees(carets - 1 - k)
+    ]
+
+
+def test_synthesize_f_elements_as_f_normal_form():
+    """F elements go through the collapse too (B = 1, empty sort word); their
+    words must be the F normal form words, for every reduced F element N <= 5."""
+    seen = 0
+    for n in range(6):
+        trees = _all_trees(n)
+        for domain, range_ in itertools.product(trees, trees):
+            f = Element(domain, range_, perms.identity_perm(n + 1))
+            if f.is_reduced():
+                seen += 1
+                assert synthesize_word(f) == f_normal_form_word(f)
+    assert seen == 1055
+
+
 def _within_cluster_bound(word, x: Element, factor: int) -> bool:
     """|w| <= factor * (N + B log2 B), exactly: 2^|w| <= 2^(factor N) * B^(factor B)."""
     n, b = x.caret_count(), x.cluster_count()
