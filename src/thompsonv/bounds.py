@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import math
 
+# Caret counts from 2^1000 up overflow a float bound (n log2 n needs n < 2^1024 / log2 n).
+_MAX_CARETS = (1 << 1000) - 1
+_TOO_MANY_CARETS = "caret count too large for a float bound (at most 2^1000 - 1)"
+
 
 def birget_upper(n: int) -> float:
     """n * log2(n); the caret-only bound. 0 and 1 carets give 0."""
     if n < 0:
         raise ValueError("caret count must be non-negative")
+    if n > _MAX_CARETS:
+        raise ValueError(_TOO_MANY_CARETS)
     if n <= 1:
         return 0.0
     return n * math.log2(n)
@@ -23,6 +29,8 @@ def new_upper(n: int, b: int) -> float:
     """n + b * log2(b); the cluster bound. Requires 1 <= b <= n + 1."""
     if n < 0:
         raise ValueError("caret count must be non-negative")
+    if n > _MAX_CARETS:
+        raise ValueError(_TOO_MANY_CARETS)
     if not 1 <= b <= n + 1:
         raise ValueError(f"cluster count {b} outside 1..{n + 1}")
     if b == 1:

@@ -25,7 +25,7 @@ from .generators import (
     parse_word,
     power_word,
 )
-from .search import enumerate_ball
+from .search import ResourceLimitError, enumerate_ball, memory_budget_mb
 from .trees import right_comb
 
 
@@ -33,6 +33,11 @@ def counterexample_y(n: int) -> Element:
     """Right-comb element with 2n+1 carets swapping leaves 2n and 2n+1."""
     if n < 1:
         raise ValueError("n must be positive")
+    budget_mb = memory_budget_mb()
+    # refuse n before any diagram: the bytes `counterexample --n n` adds to peak RSS, fitted at
+    # n = 2500-20000; the n^2 term is the combs' big-int leaf addresses
+    if (1.5 * n + 4096) * n > budget_mb << 20:
+        raise ResourceLimitError(budget_mb)
     comb = right_comb(2 * n + 1)
     return Element(comb, comb, perms.adjacent_swap(2 * n + 2, 2 * n))
 
@@ -52,34 +57,28 @@ class ConjugationReport:
 
 
 def verify_conjugation_identity(n: int) -> ConjugationReport:
-    if n < 1:
-        raise ValueError("n must be positive")
-    x0 = generator_element("x0")
+    """Check y_n = x0^{-k} y_1 x0^{k} both ways by the group law, raising x0 to k once."""
     y1 = counterexample_y(1)
     yn = counterexample_y(n)
-    k = 2 * n - 2
-    as_written = (x0 ** -k) * y1 * (x0 ** k)
-    mirrored = (x0 ** k) * y1 * (x0 ** -k)
+    power = generator_element("x0") ** (2 * n - 2)
+    as_written = power.inverse() * y1 * power
+    mirrored = power * y1 * power.inverse()
     return ConjugationReport(n, as_written.equals(yn), mirrored.equals(yn))
 
 
 def counterexample_product(n: int) -> tuple[Element, Word]:
     """P_n = y_1 y_2 ... y_n and an explicit witness word of length O(n).
 
-    The word interleaves a fixed word for y_1 with x0^2 bridges and closes
-    with x0^{-(2n-2)}, the telescoped form of the conjugation identity.
+    The y_j swap comb leaves 2j, 2j+1 of disjoint intervals, so P_n is the comb
+    swapping every such pair, written down; it is reduced, as the comb's sibling
+    leaves 2n+1, 2n+2 go to 2n, 2n+2. The word interleaves a fixed word for y_1
+    with x0^2 bridges and closes with x0^{-(2n-2)}, the telescoped identity.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    product = counterexample_y(1)
-    for j in range(2, n + 1):
-        product = product * counterexample_y(j)
+    comb = counterexample_y(n).domain_tree
+    images = (1, *(i ^ 1 for i in range(2, 2 * n + 2)), 2 * n + 2)  # i ^ 1 swaps 2j and 2j+1
     w1 = parse_word("c^-1 x1^-1 pi x1 c")  # y_1 in 5 symbols: the witness slope of 9 rests on it
-    word: Word = w1
-    for _ in range(n - 1):
-        word += power_word("x0", 2) + w1
-    word += power_word("x0", -(2 * n - 2))
-    return product, free_reduce(word)
+    word = w1 + (power_word("x0", 2) + w1) * (n - 1) + power_word("x0", 2 - 2 * n)
+    return Element(comb, comb, images), free_reduce(word)
 
 
 @dataclass(frozen=True)

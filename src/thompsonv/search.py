@@ -28,12 +28,11 @@ _PARENT_BYTES = 100
 
 
 class ResourceLimitError(RuntimeError):
-    """Search hit the memory budget; `completed_radius` levels are trusted."""
+    """Work would pass the memory budget; a search's `completed_radius` levels are trusted."""
 
-    def __init__(self, budget_mb: int, completed_radius: int):
-        super().__init__(
-            f"memory budget of {budget_mb} MB exceeded; completed radius {completed_radius}"
-        )
+    def __init__(self, budget_mb: int, completed_radius: int | None = None):
+        radius = "" if completed_radius is None else f"; completed radius {completed_radius}"
+        super().__init__(f"memory budget of {budget_mb} MB exceeded{radius}")
         self.budget_mb = budget_mb
         self.completed_radius = completed_radius
 

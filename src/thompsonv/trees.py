@@ -17,7 +17,6 @@ is read and written through the addresses too, so no walk recurses.
 
 from __future__ import annotations
 
-import math
 from threading import Lock
 from weakref import WeakValueDictionary
 
@@ -262,17 +261,14 @@ def spine_rotations_to_comb(t: Tree) -> list[int]:
     return ks
 
 
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
-
-
 def random_tree(carets_: int, rng) -> Tree:
     """Uniform full binary tree with the given caret count.
 
     Splits each caret with exact Catalan weights, so every shape has
-    probability 1/catalan(carets). Splits are drawn in pre-order, and each is
-    searched from the nearer end of its weights C(k) C(m-1-k), which are
-    symmetric in k, so large trees cost little more than their size.
+    probability 1/C(carets), C(k) the k-th Catalan number. Splits are drawn in
+    pre-order, and each is searched from the nearer end of its weights
+    C(k) C(m-1-k), which are symmetric in k, so large trees cost little more
+    than their size.
     """
     if carets_ < 0:
         raise ValueError("caret count must be non-negative")

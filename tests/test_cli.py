@@ -98,6 +98,21 @@ def test_counterexample(capsys):
     assert lines["conjugation_mirrored"] == "true"
     assert lines["conjugation_as_written"] == "false"
     assert int(lines["witness_word_length"]) <= 18
+    code, out, _ = run(capsys, "counterexample", "--n", "3")
+    assert code == 0
+    assert out == (
+        "y_n: (.,(.,(.,(.,(.,(.,(.,.)))))))|(.,(.,(.,(.,(.,(.,(.,.)))))))|[1,2,3,4,5,7,6,8]\n"
+        "y_n_carets: 7\n"
+        "y_n_clusters: 4\n"
+        "conjugation_as_written: false\n"
+        "conjugation_mirrored: true\n"
+        "product: (.,(.,(.,(.,(.,(.,(.,.)))))))|(.,(.,(.,(.,(.,(.,(.,.)))))))|[1,3,2,5,4,7,6,8]\n"
+        "product_carets: 7\n"
+        "product_clusters: 8\n"
+        "witness_word_length: 23\n"
+        "witness_word: c^-1 x1^-1 pi x1 c x0 x0 c^-1 x1^-1 pi x1 c x0 x0 c^-1 x1^-1 pi x1 c"
+        " x0^-1 x0^-1 x0^-1 x0^-1\n"
+    )
 
 
 def test_survey(capsys):
@@ -146,6 +161,10 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
     assert run(capsys, "reduce", "(.,.)|(.,.)|[1,1]")[0] == 1  # invalid permutation
     code, _, err = run(capsys, "bounds", "--n", "3", "--b", "9")
     assert code == 1 and "cluster count" in err
+    huge = "1" + "0" * 400  # too large for a float bound
+    for argv in (["--n", huge], ["--n", huge, "--b", "3"]):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 1 and out == "" and "caret count too large" in err
     code, _, err = run(capsys, "ball", "--radius", "2", "--budget-mb", "-1")
     assert code == 1 and "--budget-mb" in err
     code, out, err = run(capsys, "survey", "--count", "-1", "--radius", "2")
@@ -163,6 +182,11 @@ def test_resource_error_exit_two(capsys, monkeypatch):
     code, _, err = run(capsys, "ball", "--radius", "3")
     assert code == 2
     assert "memory budget" in err
+    # the counterexample family is refused before any diagram is built; it has no radius
+    monkeypatch.setenv("THOMPSON_MEM_BUDGET_MB", "16")
+    code, out, err = run(capsys, "counterexample", "--n", "5000")
+    assert (code, out) == (2, "")
+    assert err == "resource error: memory budget of 16 MB exceeded\n"
 
 
 def test_element_outputs_reparse(capsys):
@@ -195,3 +219,6 @@ def test_module_entry_point_exit_codes():
     assert run_module("reduce", "(.,.)|(.,.)|[1,1]")[0] == 1
     assert run_module("survey", "--count", "-1") == (1, "")
     assert run_module("ball", "--radius", "3", THOMPSON_MEM_BUDGET_MB="0")[0] == 2
+    assert run_module("counterexample", "--n", "5000", THOMPSON_MEM_BUDGET_MB="16") == (2, "")
+    code, out = run_module("counterexample", "--n", "5000")  # the default budget holds it
+    assert code == 0 and "product_carets: 10001\n" in out

@@ -13,7 +13,6 @@ from thompsonv.trees import (
     LEAF,
     ParseError,
     Tree,
-    catalan,
     halves,
     leaf_addresses,
     leaf_intervals,
@@ -201,18 +200,15 @@ def test_spine_rotations_reach_comb():
         assert ks == sorted(ks)  # non-decreasing depths keep words short
 
 
-def test_catalan_matches_binomial_formula():
-    for n in range(12):
-        assert catalan(n) == math.comb(2 * n, n) - math.comb(2 * n, n + 1)
-
-
 def test_random_tree_hits_every_shape():
     rng = random.Random(7)
     seen = {tree_text(random_tree(3, rng)) for _ in range(500)}
-    assert len(seen) == catalan(3) == 5
+    assert len(seen) == 5  # the Catalan number C(3)
 
 
-_cached_catalan = functools.lru_cache(maxsize=None)(catalan)
+@functools.lru_cache(maxsize=None)
+def _cached_catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
 
 
 def _reference_random_tree(carets: int, rng: random.Random) -> Tree:
