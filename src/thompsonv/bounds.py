@@ -33,6 +33,4 @@ def new_upper(n: int, b: int) -> float:
         raise ValueError(_TOO_MANY_CARETS)
     if not 1 <= b <= n + 1:
         raise ValueError(f"cluster count {b} outside 1..{n + 1}")
-    if b == 1:
-        return float(n)
     return n + b * math.log2(b)

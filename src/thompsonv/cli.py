@@ -164,10 +164,8 @@ def _run(args: argparse.Namespace) -> None:
             args.count, args.carets, args.radius, args.seed, budget_mb=args.budget_mb
         )
         sys.stdout.write(survey_csv(records))
-    elif cmd == "constants":
+    else:  # "constants"; argparse admits only the subcommands above
         print(estimate_constants(args.radius, budget_mb=args.budget_mb))
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown command {cmd!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,9 +19,10 @@ from .bounds import birget_upper, new_upper
 from .elements import Element
 from .generators import (
     GENERATOR_NAMES,
+    MOVES,
+    GenSymbol,
     Word,
     free_reduce,
-    generator_element,
     parse_word,
     power_word,
 )
@@ -36,7 +37,7 @@ def counterexample_y(n: int) -> Element:
     budget_mb = memory_budget_mb()
     # refuse n before any diagram: the bytes `counterexample --n n` adds to peak RSS, fitted at
     # n = 2500-20000; the n^2 term is the combs' big-int leaf addresses
-    if (1.5 * n + 4096) * n > budget_mb << 20:
+    if (3 * n + 8192) * n > budget_mb << 21:
         raise ResourceLimitError(budget_mb)
     comb = right_comb(2 * n + 1)
     return Element(comb, comb, perms.adjacent_swap(2 * n + 2, 2 * n))
@@ -60,7 +61,7 @@ def verify_conjugation_identity(n: int) -> ConjugationReport:
     """Check y_n = x0^{-k} y_1 x0^{k} both ways by the group law, raising x0 to k once."""
     y1 = counterexample_y(1)
     yn = counterexample_y(n)
-    power = generator_element("x0") ** (2 * n - 2)
+    power = MOVES[GenSymbol("x0")] ** (2 * n - 2)
     as_written = power.inverse() * y1 * power
     mirrored = power * y1 * power.inverse()
     return ConjugationReport(n, as_written.equals(yn), mirrored.equals(yn))

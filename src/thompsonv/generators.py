@@ -52,17 +52,9 @@ MOVES: dict[GenSymbol, Element] = {
 MOVES.update({s.inverse(): g.inverse() for s, g in list(MOVES.items())})
 
 
-def generator_element(name: str) -> Element:
-    return MOVES[GenSymbol(name)]
-
-
 def standard_generators() -> list[Element]:
     """The elements x0, x1, c, pi, in that order."""
-    return [generator_element(name) for name in GENERATOR_NAMES]
-
-
-def symbol_element(symbol: GenSymbol) -> Element:
-    return MOVES[symbol]
+    return [MOVES[GenSymbol(name)] for name in GENERATOR_NAMES]
 
 
 def format_word(word: Word) -> str:
@@ -104,8 +96,13 @@ def power_word(symbol_name: str, n: int) -> Word:
 
 
 def evaluate_word(word: Word) -> Element:
-    """Left-to-right product of the symbols; the empty word is the identity."""
-    out = Element.identity()
-    for s in word:
-        out = out * symbol_element(s)
-    return out
+    """Left-to-right product of the symbols; the empty word is the identity.
+
+    Neighbours are multiplied in rounds, so no product re-walks a long prefix;
+    the product is associative and reduced diagrams are unique.
+    """
+    factors = [MOVES[s] for s in word] or [Element.identity()]
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[len(factors) & ~1 :]
+    return factors[0]

@@ -39,13 +39,6 @@ def invert_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def compose(first: Perm, then: Perm) -> Perm:
-    """Permutation sending i to then(first(i))."""
-    if len(first) != len(then):
-        raise ValueError("degrees differ")
-    return tuple(then[v - 1] for v in first)
-
-
 def cyclic_shift(p: Perm) -> int | None:
     """The c with s(i) = ((i-1+c) mod n)+1, or None if p is not cyclic."""
     n = len(p)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from threading import Lock
 from weakref import WeakValueDictionary
 
-from .intervals import DyadicInterval
-
 
 class ParseError(ValueError):
     """Malformed text; `offset` is the byte offset of the failure."""
@@ -65,10 +63,6 @@ class Tree:
 
     def __reduce__(self) -> tuple:
         return (Tree, (self.left, self.right))  # copies and unpickling intern again
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
     @property
     def carets(self) -> int:
@@ -210,11 +204,6 @@ def tree_of(addresses: list[Address]) -> Tree:
     if len(stack) != 1 or stack[0][0] != (0, 0):
         raise ValueError("addresses do not tile [0, 1) as the leaves of a tree")
     return stack[0][1]
-
-
-def leaf_intervals(t: Tree) -> list[DyadicInterval]:
-    """Dyadic intervals of the leaves, left to right; the root owns [0, 1)."""
-    return [DyadicInterval(num, exp) for num, exp in leaf_addresses(t)]
 
 
 def refine(a: list[Address], b: list[Address]) -> list[tuple[Address, int, int]]:

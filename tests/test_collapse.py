@@ -5,20 +5,20 @@ from conftest import random_element
 from thompsonv import permutations as perms
 from thompsonv.collapse import collapse_clusters
 from thompsonv.elements import Element
-from thompsonv.generators import MOVES, generator_element
+from thompsonv.generators import MOVES, GenSymbol
 from thompsonv.trees import random_tree
 from thompsonv.words import synthesize_word
 
 
 def test_collapse_of_f_element_is_identity():
-    x0 = generator_element("x0")
+    x0 = MOVES[GenSymbol("x0")]
     res = collapse_clusters(x0)
     assert res.collapsed.equals(Element.identity())
     assert res.collapsed.n_leaves == 1
 
 
 def test_collapse_of_cycle_is_half_swap():
-    res = collapse_clusters(generator_element("c"))
+    res = collapse_clusters(MOVES[GenSymbol("c")])
     assert res.collapsed.text() == "(.,.)|(.,.)|[2,1]"
 
 

@@ -6,13 +6,12 @@ import pytest
 from conftest import expand_randomly, random_element, random_raw_element, reduce_random_order
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
-from thompsonv.intervals import PiecewiseMap, graph_components
+from thompsonv.intervals import DyadicInterval, PiecewiseMap, graph_components
 from thompsonv.trees import (
     LEAF,
     ParseError,
     Tree,
     leaf_addresses,
-    leaf_intervals,
     random_tree,
     right_comb,
 )
@@ -107,8 +106,8 @@ def test_reduce_deep_diagram():
 
 def unreduced_map(x: Element) -> PiecewiseMap:
     """The map read off x's own trees and permutation, with no reduction."""
-    sources = leaf_intervals(x.domain_tree)
-    targets = leaf_intervals(x.range_tree)
+    sources = [DyadicInterval(num, exp) for num, exp in leaf_addresses(x.domain_tree)]
+    targets = [DyadicInterval(num, exp) for num, exp in leaf_addresses(x.range_tree)]
     return PiecewiseMap(tuple((sources[i], targets[v - 1]) for i, v in enumerate(x.perm)))
 
 

@@ -6,7 +6,7 @@ import pytest
 from thompsonv.bounds import birget_upper, new_upper
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
-from thompsonv.generators import GENERATOR_NAMES, GenSymbol, evaluate_word, symbol_element
+from thompsonv.generators import GENERATOR_NAMES, MOVES, GenSymbol, evaluate_word
 from thompsonv import search
 from thompsonv.search import (
     LengthResult,
@@ -32,7 +32,7 @@ def test_identity_at_distance_zero(ball):
 def test_every_generator_symbol_at_distance_one(ball):
     for name in GENERATOR_NAMES:
         for exp in (1, -1):
-            e = symbol_element(GenSymbol(name, exp))
+            e = MOVES[GenSymbol(name, exp)]
             assert ball.distance_of(e) == 1
             assert ball.distance_of(e.expand_leaf(1)) == 1  # lookup by an unreduced diagram
             assert exact_word_length(e, 2).length == 1
@@ -48,7 +48,7 @@ def test_element_keys_agree_with_text_keys(ball):
 
 
 def test_x0_squared_at_distance_two(ball):
-    x0 = symbol_element(GenSymbol("x0"))
+    x0 = MOVES[GenSymbol("x0")]
     assert ball.distance_of(x0 * x0) == 2
     assert exact_word_length(x0 * x0, 4).length == 2
 
@@ -73,7 +73,7 @@ def test_witness_words_are_geodesic(ball):
 
 def test_witness_none_outside_ball(ball):
     far = Element.identity()
-    x0 = symbol_element(GenSymbol("x0"))
+    x0 = MOVES[GenSymbol("x0")]
     for _ in range(RADIUS + 1):
         far = far * x0
     assert ball.witness_word(far) is None
@@ -88,7 +88,7 @@ def test_bidirectional_agrees_with_ball(ball):
 
 
 def test_unknown_beyond_radius():
-    x0 = symbol_element(GenSymbol("x0"))
+    x0 = MOVES[GenSymbol("x0")]
     deep = x0 ** 6
     result = exact_word_length(deep, 3)
     assert not result.known
@@ -106,7 +106,7 @@ def test_budget_exhaustion_names_completed_radius():
         enumerate_ball(3, budget_mb=0)
     assert err.value.completed_radius == 0
     with pytest.raises(ResourceLimitError):
-        exact_word_length(symbol_element(GenSymbol("x1")) ** 4, 8, budget_mb=0)
+        exact_word_length(MOVES[GenSymbol("x1")] ** 4, 8, budget_mb=0)
 
 
 @pytest.mark.parametrize("track_parents", [False, True])

@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import left_comb
+from thompsonv.intervals import DyadicInterval
 from thompsonv.trees import (
     LEAF,
     ParseError,
     Tree,
     halves,
     leaf_addresses,
-    leaf_intervals,
     parse_tree,
     random_tree,
     refine,
@@ -93,10 +93,15 @@ def test_caret_leaf_relation():
         assert t.carets == t.leaves - 1
 
 
+def intervals_of(t: Tree) -> list[DyadicInterval]:
+    """The dyadic intervals of t's leaves, left to right."""
+    return [DyadicInterval(num, exp) for num, exp in leaf_addresses(t)]
+
+
 def test_leaf_intervals_examples():
-    assert [str(i) for i in leaf_intervals(LEAF)] == ["[0,1)"]
-    assert [str(i) for i in leaf_intervals(parse_tree("(.,.)"))] == ["[0,1/2)", "[1/2,1)"]
-    assert [str(i) for i in leaf_intervals(right_comb(2))] == [
+    assert [str(i) for i in intervals_of(LEAF)] == ["[0,1)"]
+    assert [str(i) for i in intervals_of(parse_tree("(.,.)"))] == ["[0,1/2)", "[1/2,1)"]
+    assert [str(i) for i in intervals_of(right_comb(2))] == [
         "[0,1/2)",
         "[1/2,3/4)",
         "[3/4,1)",
@@ -106,7 +111,7 @@ def test_leaf_intervals_examples():
 def test_leaf_intervals_tile_unit_interval():
     rng = random.Random(3)
     for _ in range(50):
-        ivs = leaf_intervals(random_tree(rng.randint(0, 12), rng))
+        ivs = intervals_of(random_tree(rng.randint(0, 12), rng))
         assert ivs[0].left == 0
         for a, b in zip(ivs, ivs[1:]):
             assert a.right == b.left
@@ -191,7 +196,7 @@ def test_spine_rotations_reach_comb():
             for _ in range(k):
                 node_path.append(s)
                 s = s.right
-            assert not s.left.is_leaf
+            assert s.left is not LEAF
             s = Tree(s.left.left, Tree(s.left.right, s.right))
             for node in reversed(node_path):
                 s = Tree(node.left, s)

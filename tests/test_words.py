@@ -9,14 +9,15 @@ from thompsonv import words
 from thompsonv.elements import Element
 from thompsonv.generators import (
     GENERATOR_NAMES,
+    MOVES,
     GenSymbol,
     evaluate_word,
     format_word,
     free_reduce,
     invert_word,
     parse_word,
+    power_word,
     standard_generators,
-    symbol_element,
 )
 from thompsonv.search import exact_word_length
 from thompsonv.trees import LEAF, ParseError, Tree, random_tree, right_comb, spine_rotations_to_comb
@@ -48,7 +49,7 @@ def test_generator_orders():
 
 def test_symbol_elements_distinct_except_pi_involution():
     symbols = [GenSymbol(name, exp) for exp in (1, -1) for name in GENERATOR_NAMES]
-    elements = [symbol_element(s) for s in symbols]
+    elements = [MOVES[s] for s in symbols]
     coincident = [
         (str(symbols[i]), str(symbols[j]))
         for i in range(len(symbols))
@@ -79,6 +80,24 @@ def test_evaluate_word_examples():
     assert evaluate_word(()).equals(Element.identity())
     assert evaluate_word(parse_word("x0 x0^-1")).equals(Element.identity())
     assert evaluate_word(parse_word("x0 x1")).equals(X0 * X1)
+
+
+def test_evaluate_word_pairwise_equals_left_fold():
+    # the rounds of neighbour products give the reduced diagram of the plain left fold
+    rng = random.Random(41)
+    symbols = list(MOVES)
+    for _ in range(300):
+        word = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 200)))
+        folded = Element.identity()
+        for s in word:
+            folded = folded * MOVES[s]
+        assert evaluate_word(word) == folded
+
+
+def test_evaluate_long_x0_power():
+    # x0^k is the right comb over the left comb; a left fold would re-walk a growing prefix
+    expected = Element(right_comb(4001), left_comb(4001), perms.identity_perm(4002))
+    assert evaluate_word(power_word("x0", 4000)) == expected
 
 
 def test_x_words_match_explicit_rotation_diagrams():
