@@ -23,9 +23,11 @@ from .trees import (
     Tree,
     halves,
     leaf_addresses,
+    merge_leaves,
     parse_tree_at,
     random_tree,
     refine,
+    split_leaf,
     tree_of,
     tree_text,
 )
@@ -158,12 +160,22 @@ class Element:
 
     def reduce_step(self, i: int) -> Element:
         """Cancel the caret pair over leaves i, i+1; renumber the permutation."""
-        pieces = self._pieces()
-        whole = 1 <= i < len(pieces) and _merged(pieces[i - 1], pieces[i])
-        if not whole:
+        whole = self.cancel_pair(i)
+        if whole is None:
             raise ValueError(f"no reducible pair at leaf {i}")
-        pieces[i - 1 : i + 1] = [whole]
-        return Element._from_pieces(pieces)
+        return whole
+
+    def cancel_pair(self, i: int) -> Element | None:
+        """reduce_step(i), or None unless leaves i, i+1 and their images are caret pairs."""
+        if not 1 <= i < self.n_leaves or self.perm[i] != self.perm[i - 1] + 1:
+            return None
+        r = self.perm[i - 1]
+        domain = merge_leaves(self.domain_tree, i)
+        range_ = domain and merge_leaves(self.range_tree, r)
+        if range_ is None:
+            return None
+        images = self.perm[:i] + self.perm[i + 1 :]
+        return Element(domain, range_, tuple(v - (v > r) for v in images))
 
     def reduce(self) -> Element:
         """Unique reduced diagram of the same group element; self if already reduced."""
@@ -178,10 +190,12 @@ class Element:
         """Split leaf i and its image: the inverse of one reduction step."""
         if not 1 <= i <= self.n_leaves:
             raise ValueError(f"leaf index {i} out of range")
-        pieces = self._pieces()
-        (n, e), (m, f) = pieces[i - 1]
-        pieces[i - 1 : i] = [((2 * n + b, e + 1), (2 * m + b, f + 1)) for b in (0, 1)]
-        return Element._from_pieces(pieces)
+        r = self.perm[i - 1]
+        images = [v + (v > r) for v in self.perm]
+        images.insert(i, r + 1)
+        return Element(
+            split_leaf(self.domain_tree, i), split_leaf(self.range_tree, r), tuple(images)
+        )
 
     # -- group operations ---------------------------------------------------
 

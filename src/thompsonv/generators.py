@@ -9,9 +9,11 @@ left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
+from . import permutations as perms
 from .elements import Element
-from .trees import ParseError
+from .trees import LEAF, Address, ParseError, Tree, leaf_addresses, node_at
 
 GENERATOR_NAMES = ("x0", "x1", "c", "pi")
 
@@ -50,6 +52,59 @@ MOVES: dict[GenSymbol, Element] = {
     GenSymbol(name): Element.parse(text) for name, text in _GENERATOR_TEXT.items()
 }
 MOVES.update({s.inverse(): g.inverse() for s, g in list(MOVES.items())})
+
+
+def _carets(t: Tree) -> list[Address]:
+    """Addresses of t's carets, shallowest first."""
+    carets = {(num >> k, exp - k) for num, exp in leaf_addresses(t) for k in range(1, exp + 1)}
+    return sorted(carets, key=lambda a: a[1])
+
+
+def _graft(t: Tree, subtrees: Iterator[Tree]) -> Tree:
+    """t with its leaves, left to right, replaced by the subtrees."""
+    if t.left is None:
+        return next(subtrees)
+    return Tree(_graft(t.left, subtrees), _graft(t.right, subtrees))
+
+
+def _local_move(g: Element) -> Callable[[Element], Element]:
+    """e -> e * g for reduced e, rewriting only the top of e's range tree.
+
+    Fit: split range leaves (with their domain leaves) until the range tree
+    holds g's domain tree Dg at its top; Dg's leaf i then holds a subtree S_i.
+    Permute: hang S_i at leaf tau(i) of g's range tree Rg and move each block
+    of range indices with it. Cancel: only Rg's carets can cancel, since the
+    carets inside each S_i are e's own and e is reduced; try them bottom-up.
+    """
+    fit, blocks = _carets(g.domain_tree), leaf_addresses(g.domain_tree)
+    cancel = _carets(g.range_tree)[::-1]
+    order = perms.invert_perm(g.perm)  # the block that lands on each leaf of Rg
+
+    def move(e: Element) -> Element:
+        for a in fit:
+            node, r = node_at(e.range_tree, *a)
+            if node.left is None:
+                e = e.expand_leaf(e.perm.index(r) + 1)
+        subtrees = [node_at(e.range_tree, *a) for a in blocks]
+        renumber = [0] * (e.n_leaves + 1)
+        first = 1
+        for i in order:
+            node, r = subtrees[i - 1]
+            renumber[r : r + node.leaves] = range(first, first + node.leaves)
+            first += node.leaves
+        range_ = _graft(g.range_tree, (subtrees[i - 1][0] for i in order))
+        e = Element(e.domain_tree, range_, tuple(map(renumber.__getitem__, e.perm)))
+        for a in cancel:
+            node, r = node_at(e.range_tree, *a)
+            if node.left is LEAF and node.right is LEAF:
+                e = e.cancel_pair(e.perm.index(r) + 1) or e
+        return e
+
+    return move
+
+
+# The same eight moves as local rewrites: LOCAL_MOVES[s](e) == e * MOVES[s] for reduced e.
+LOCAL_MOVES = {s: _local_move(g) for s, g in MOVES.items()}
 
 
 def standard_generators() -> list[Element]:

@@ -1,9 +1,11 @@
 """Exact word lengths by breadth-first search of the Cayley graph.
 
 States are reduced diagrams. A reduced diagram is unique, so `==` on states is
-group equality and deduplication is exact. Levels are expanded whole: every
-element of level k is known before level k+1 starts, which makes enumeration
-order, ball sizes and reports deterministic. Point queries meet in the middle
+group equality and deduplication is exact. A state is multiplied by a generator
+through `generators.LOCAL_MOVES`, which rewrites only the top carets of its
+range tree and gives the same reduced diagram as `*`. Levels are expanded
+whole: every element of level k is known before level k+1 starts, which makes
+enumeration order, ball sizes and reports deterministic. Point queries meet in the middle
 to double the reachable radius. Memory is capped by a byte budget that charges
 each stored element the bytes measured for it: a fixed cost, a word per leaf
 (trees are interned and shared) and its parent entry when parents are tracked.
@@ -16,7 +18,7 @@ import os
 from dataclasses import dataclass
 
 from .elements import Element
-from .generators import MOVES, GenSymbol, Word
+from .generators import LOCAL_MOVES, GenSymbol, Word
 
 ENV_BUDGET = "THOMPSON_MEM_BUDGET_MB"
 DEFAULT_BUDGET_MB = 512
@@ -115,14 +117,14 @@ def _expand(
     frontier: list[Element], dist: dict[Element, int], depth: int, budget: _Budget,
     completed_radius: int, parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
 ) -> list[Element]:
-    """The next BFS level in discovery order: frontier times `MOVES`.
+    """The next BFS level in discovery order: frontier times `MOVES`, by local moves.
 
     New products get distance `depth`; a budget overrun names `completed_radius`.
     """
     level: list[Element] = []
     for e in frontier:
-        for symbol, g in MOVES.items():
-            p = e * g
+        for symbol, move in LOCAL_MOVES.items():
+            p = move(e)
             if p not in dist:
                 dist[p] = depth
                 budget.charge(p, completed_radius, parent is not None)

@@ -206,6 +206,50 @@ def tree_of(addresses: list[Address]) -> Tree:
     return stack[0][1]
 
 
+def node_at(t: Tree, num: int, exp: int) -> tuple[Tree, int]:
+    """The node at address (num, exp) and the index of its first leaf; the node must exist."""
+    first = 1
+    for k in range(exp - 1, -1, -1):
+        if num >> k & 1:
+            first += t.left.leaves
+            t = t.right
+        else:
+            t = t.left
+    return t, first
+
+
+def _path(t: Tree, i: int, cut: bool) -> tuple[list[tuple[Tree, bool]], Tree]:
+    """Steps (parent, went right) from the root towards leaf i, steering by leaf counts,
+    and the node reached: a leaf, or with `cut` the first caret splitting i from i+1."""
+    path = []
+    while t.left is not None and not (cut and i == t.left.leaves):
+        right = i > t.left.leaves
+        path.append((t, right))
+        if right:
+            i -= t.left.leaves
+        t = t.right if right else t.left
+    return path, t
+
+
+def _rebuild(path: list[tuple[Tree, bool]], node: Tree) -> Tree:
+    for parent, right in reversed(path):
+        node = Tree(parent.left, node) if right else Tree(node, parent.right)
+    return node
+
+
+def split_leaf(t: Tree, i: int) -> Tree:
+    """t with leaf i (1-indexed) replaced by a caret; only the path from the root is rebuilt."""
+    if not 1 <= i <= t.leaves:
+        raise ValueError(f"leaf index {i} out of range")
+    return _rebuild(_path(t, i, False)[0], Tree(LEAF, LEAF))
+
+
+def merge_leaves(t: Tree, i: int) -> Tree | None:
+    """t with the caret over leaves i, i+1 made a leaf; None unless they hang from one caret."""
+    path, node = _path(t, i, True)
+    return _rebuild(path, LEAF) if node.left is LEAF and node.right is LEAF else None
+
+
 def refine(a: list[Address], b: list[Address]) -> list[tuple[Address, int, int]]:
     """Common refinement of two tilings of [0, 1) by leaf addresses, left to right.
 

@@ -95,6 +95,16 @@ def test_expand_leaf_inverts_reduction():
         assert grown.reduce() == x.reduce()
 
 
+def test_cancel_pair_cancels_exactly_the_reducible_pairs():
+    rng = random.Random(25)
+    for _ in range(200):
+        x = expand_randomly(random_raw_element(rng.randint(1, 8), rng), rng, rng.randint(0, 3))
+        pairs = x.reducible_pairs()
+        assert [i for i in range(x.n_leaves + 1) if x.cancel_pair(i)] == pairs
+        for i in pairs:
+            assert x.cancel_pair(i).expand_leaf(i) == x
+
+
 def test_reduce_deep_diagram():
     # one pass over the leaves with a stack: a 5000-caret comb needs no recursion
     comb = right_comb(5000)

@@ -1,13 +1,14 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from thompsonv.bounds import birget_upper, new_upper
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
+from thompsonv import generators, search
 from thompsonv.generators import GENERATOR_NAMES, MOVES, GenSymbol, evaluate_word
-from thompsonv import search
 from thompsonv.search import (
     LengthResult,
     ResourceLimitError,
@@ -161,3 +162,43 @@ def test_new_upper_at_most_birget_plus_constant(ball):
     for (n, b), gap in gaps.items():
         if gap == c0:
             assert b == n + 1
+
+
+def local_move_mismatches(elements):
+    """(element, symbol) pairs where the local move and the general product differ."""
+    return [
+        (e, s)
+        for e in elements
+        for s, move in generators.LOCAL_MOVES.items()
+        if move(e) != e * MOVES[s]
+    ]
+
+
+def test_local_moves_equal_products():
+    # every product of the radius-6 search: all eight moves on the radius-5 ball
+    elements = [e for level in enumerate_ball(5, track_parents=False).levels for e in level]
+    assert len(elements) * len(MOVES) == 35280
+    assert local_move_mismatches(elements) == []
+
+
+def test_local_moves_follow_interval_maps(ball):
+    # independent semantics: apply e's map, then g's, at every third odd multiple of 1/128
+    points = [Fraction(2 * k + 1, 128) for k in range(0, 64, 3)]
+    maps = {s: g.interval_map() for s, g in MOVES.items()}
+    for e in (e for level in ball.levels[:4] for e in level):
+        middle = [e.interval_map().apply(t) for t in points]
+        for s, move in generators.LOCAL_MOVES.items():
+            after = move(e).interval_map()
+            assert [after.apply(t) for t in points] == [maps[s].apply(m) for m in middle]
+
+
+def test_local_move_mutations_are_caught(ball, monkeypatch):
+    elements = [e for level in ball.levels[:4] for e in level]
+    with monkeypatch.context() as m:
+        m.setattr(Element, "cancel_pair", lambda self, i: None)  # no cancel step
+        assert local_move_mismatches(elements)
+    x0, x0_inv = GenSymbol("x0"), GenSymbol("x0", -1)
+    swapped = dict(generators.LOCAL_MOVES)
+    swapped[x0], swapped[x0_inv] = swapped[x0_inv], swapped[x0]
+    monkeypatch.setattr(generators, "LOCAL_MOVES", swapped)
+    assert local_move_mismatches(elements)

@@ -16,11 +16,13 @@ from thompsonv.trees import (
     Tree,
     halves,
     leaf_addresses,
+    merge_leaves,
     parse_tree,
     random_tree,
     refine,
     right_comb,
     spine_rotations_to_comb,
+    split_leaf,
     tree_of,
     tree_text,
 )
@@ -158,6 +160,24 @@ def test_tree_of_inverts_leaf_addresses():
 def span(address: tuple[int, int]) -> tuple[Fraction, Fraction]:
     num, exp = address
     return Fraction(num, 1 << exp), Fraction(num + 1, 1 << exp)
+
+
+def test_split_leaf_and_merge_leaves():
+    rng = random.Random(47)
+    for t in [random_tree(rng.randint(0, 30), rng) for _ in range(100)] + [right_comb(5000)]:
+        addresses = leaf_addresses(t)
+        for i in sorted({1, t.leaves, rng.randint(1, t.leaves)}):
+            (num, exp) = addresses[i - 1]
+            split = split_leaf(t, i)
+            halves_of_i = [(2 * num, exp + 1), (2 * num + 1, exp + 1)]
+            assert leaf_addresses(split) == addresses[: i - 1] + halves_of_i + addresses[i:]
+            assert merge_leaves(split, i) is t
+        for i in range(min(t.leaves, 40) + 1):
+            siblings = 1 <= i < t.leaves and halves(addresses[i - 1], addresses[i])
+            merged = merge_leaves(t, i)
+            assert (merged is not None) == bool(siblings)
+            if merged is not None:
+                assert split_leaf(merged, i) is t
 
 
 def test_refine_is_upper_bound():
