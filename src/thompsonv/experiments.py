@@ -100,6 +100,10 @@ def survey_bounds(
         raise ValueError("survey count must be non-negative")
     if carets < 1:
         raise ValueError("caret count must be positive")
+    budget_mb = memory_budget_mb(budget_mb)
+    # bytes `survey --carets N` adds to peak RSS, fitted at N = 2500-30000: the Catalan table
+    if count and (carets + 3600) * carets > budget_mb * 7 << 20:
+        raise ResourceLimitError(budget_mb)
     ball = enumerate_ball(radius, budget_mb=budget_mb, track_parents=False)
     rng = random.Random(seed)
     records = []

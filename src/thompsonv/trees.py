@@ -206,18 +206,6 @@ def tree_of(addresses: list[Address]) -> Tree:
     return stack[0][1]
 
 
-def node_at(t: Tree, num: int, exp: int) -> tuple[Tree, int]:
-    """The node at address (num, exp) and the index of its first leaf; the node must exist."""
-    first = 1
-    for k in range(exp - 1, -1, -1):
-        if num >> k & 1:
-            first += t.left.leaves
-            t = t.right
-        else:
-            t = t.left
-    return t, first
-
-
 def _path(t: Tree, i: int, cut: bool) -> tuple[list[tuple[Tree, bool]], Tree]:
     """Steps (parent, went right) from the root towards leaf i, steering by leaf counts,
     and the node reached: a leaf, or with `cut` the first caret splitting i from i+1."""

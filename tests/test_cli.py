@@ -187,6 +187,11 @@ def test_resource_error_exit_two(capsys, monkeypatch):
     code, out, err = run(capsys, "counterexample", "--n", "5000")
     assert (code, out) == (2, "")
     assert err == "resource error: memory budget of 16 MB exceeded\n"
+    # so is a survey whose random trees' Catalan table would pass the budget
+    argv = ["survey", "--count", "1", "--carets", "20000", "--radius", "0", "--budget-mb", "16"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "resource error: memory budget of 16 MB exceeded\n"
 
 
 def test_element_outputs_reparse(capsys):
@@ -220,5 +225,7 @@ def test_module_entry_point_exit_codes():
     assert run_module("survey", "--count", "-1") == (1, "")
     assert run_module("ball", "--radius", "3", THOMPSON_MEM_BUDGET_MB="0")[0] == 2
     assert run_module("counterexample", "--n", "5000", THOMPSON_MEM_BUDGET_MB="16") == (2, "")
+    survey = ["survey", "--count", "1", "--carets", "20000", "--radius", "0"]
+    assert run_module(*survey, THOMPSON_MEM_BUDGET_MB="16") == (2, "")
     code, out = run_module("counterexample", "--n", "5000")  # the default budget holds it
     assert code == 0 and "product_carets: 10001\n" in out

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import left_comb, random_element
 from thompsonv.bounds import birget_upper, new_upper
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
@@ -16,6 +17,7 @@ from thompsonv.search import (
     enumerate_ball,
     exact_word_length,
 )
+from thompsonv.trees import right_comb
 
 RADIUS = 4
 
@@ -186,6 +188,25 @@ def test_local_moves_follow_interval_maps(ball):
     points = [Fraction(2 * k + 1, 128) for k in range(0, 64, 3)]
     maps = {s: g.interval_map() for s, g in MOVES.items()}
     for e in (e for level in ball.levels[:4] for e in level):
+        middle = [e.interval_map().apply(t) for t in points]
+        for s, move in generators.LOCAL_MOVES.items():
+            after = move(e).interval_map()
+            assert [after.apply(t) for t in points] == [maps[s].apply(m) for m in middle]
+
+
+def test_local_moves_on_large_and_deep_elements():
+    # seeded reduced elements of 50-400 carets, and x0^2000 = (right comb, left comb, id) and
+    # its inverse, where the fit step splits a domain leaf 2000 carets deep
+    rng = random.Random(20)
+    elements = [random_element(rng.randint(50, 400), rng) for _ in range(10)]
+    deep = Element(right_comb(2000), left_comb(2000), perms.identity_perm(2001))
+    elements += [deep, deep.inverse()]
+    assert all(e.is_reduced() for e in elements)
+    assert local_move_mismatches(elements) == []
+    # two points in the pieces 40 carets down either comb, and two in the middle
+    points = [Fraction(1, 3 << 40), Fraction(1, 3), Fraction(2, 3), 1 - Fraction(1, 3 << 40)]
+    maps = {s: g.interval_map() for s, g in MOVES.items()}
+    for e in (elements[0], deep, deep.inverse()):
         middle = [e.interval_map().apply(t) for t in points]
         for s, move in generators.LOCAL_MOVES.items():
             after = move(e).interval_map()

@@ -1,11 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import left_comb, random_element
 from thompsonv import permutations as perms
-from thompsonv import words
+from thompsonv import generators, words
 from thompsonv.elements import Element
 from thompsonv.generators import (
     GENERATOR_NAMES,
@@ -98,6 +99,44 @@ def test_evaluate_long_x0_power():
     # x0^k is the right comb over the left comb; a left fold would re-walk a growing prefix
     expected = Element(right_comb(4001), left_comb(4001), perms.identity_perm(4002))
     assert evaluate_word(power_word("x0", 4000)) == expected
+
+
+def test_evaluate_word_across_run_boundaries(monkeypatch):
+    # runs of local moves, then neighbour products: ceil(L / k) - 1 products for L symbols
+    k = generators._RUN
+    rng = random.Random(43)
+    symbols = list(MOVES)
+    general, products = Element.__mul__, 0
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return general(a, b)
+
+    for length in (0, 1, k - 1, k, k + 1, 2 * k, 2 * k + 1):
+        word = tuple(rng.choice(symbols) for _ in range(length))
+        folded = Element.identity()
+        for s in word:
+            folded = folded * MOVES[s]
+        products = 0
+        with monkeypatch.context() as m:
+            m.setattr(Element, "__mul__", counted)
+            assert evaluate_word(word) == folded
+        assert products <= max(-(-length // k) - 1, 0), length
+
+
+def test_evaluated_synthesized_word_follows_interval_maps():
+    # independent semantics: the generators' maps applied symbol by symbol
+    x = random_element(64, random.Random(64))
+    word = synthesize_word(x)
+    e = evaluate_word(word)
+    assert e == x
+    maps = {s: g.interval_map() for s, g in MOVES.items()}
+    points = [Fraction(2 * j + 1, 3 << 8) for j in range(0, 384, 37)]
+    images = list(points)
+    for s in word:
+        images = [maps[s].apply(t) for t in images]
+    assert [e.interval_map().apply(t) for t in points] == images
 
 
 def test_x_words_match_explicit_rotation_diagrams():
