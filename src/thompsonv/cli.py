@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("word", help="synthesize a word for an element, or evaluate a word")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--synthesize", metavar="ELEMENT")
-    group.add_argument("--evaluate", metavar="WORD")
+    group.add_argument("--evaluate", metavar="WORD", help="the word, or - to read it from stdin")
 
     p = sub.add_parser("bounds", help="metric upper bounds for given caret/cluster counts")
     p.add_argument("--n", type=int, required=True)
@@ -147,7 +147,8 @@ def _run(args: argparse.Namespace) -> None:
         if args.synthesize is not None:
             print(format_word(synthesize_word(Element.parse(args.synthesize))))
         else:
-            print(evaluate_word(parse_word(args.evaluate)).text())
+            word = sys.stdin.read() if args.evaluate == "-" else args.evaluate
+            print(evaluate_word(parse_word(word)).text())
     elif cmd == "bounds":
         if args.b is not None:
             print(f"new_upper={_number(new_upper(args.n, args.b))}")

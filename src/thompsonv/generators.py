@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import permutations as perms
 from .elements import Element
-from .trees import LEAF, ParseError, Tree, tree_text
+from .trees import LEAF, ParseError, Tree, split_leaf, tree_text
 
 GENERATOR_NAMES = ("x0", "x1", "c", "pi")
 
@@ -55,26 +55,33 @@ MOVES: dict[GenSymbol, Element] = {
 MOVES.update({s.inverse(): g.inverse() for s, g in list(MOVES.items())})
 
 
-def _local_move(g: Element) -> Callable[[Element], Element]:
+def _local_move(g: Element) -> Callable[..., Element]:
     """e -> e * g for reduced e, rewriting only the top of e's range tree.
 
-    Fit: descend e's range tree once along g's domain tree Dg in pre-order,
-    splitting (with its domain leaf) any range leaf at a caret of Dg; Dg's leaf
-    i then holds a subtree S_i. Permute: build g's range tree Rg with S_i at
-    leaf tau(i), moving its range indices along (none move if tau = id).
-    Cancel: only Rg's carets can, as e is reduced, once over two leaves, so only
-    if some S_i is a leaf; `Element.cancel_pair` tries them bottom-up and right
-    to left, so no cancellation renumbers a caret still to come.
+    Plan, from e's range tree alone. Fit: descend it once along g's domain tree
+    Dg in pre-order, noting each range leaf at a caret of Dg as one to split;
+    Dg's leaf i then holds a subtree S_i. Permute: build g's range tree Rg with
+    S_i at leaf tau(i), and renumber S_i's range indices to match (none move if
+    tau = id). Apply, to e: split the noted range leaves' domain leaves, update
+    and renumber the permutation. Cancel: only Rg's carets can, as e is reduced,
+    once over two leaves, so only if two leaf S_i hang from one of them;
+    `Element.cancel_pair` tries them bottom-up and right to left, so no
+    cancellation renumbers a caret still to come. `move(e, plans)` keeps each
+    plan in `plans` by range tree, so a search makes it once per range tree.
     """
     fit = [ch == "(" for ch in tree_text(g.domain_tree) if ch in "(."]  # Dg in pre-order: caret?
     order = [i - 1 for i in perms.invert_perm(g.perm)]  # the S_i on each leaf of Rg
     s_at = iter(order)  # Rg in reversed pre-order: None at a caret, else the S_i at the leaf
     graft = [None if ch == "(" else next(s_at) for ch in tree_text(g.range_tree) if ch in "(."]
     graft.reverse()
+    # the S_i under each caret of Rg over two leaves: no caret cancels unless one of these does
+    triples = zip(graft, graft[1:], graft[2:])
+    cherries = [(i, j) for i, j, c in triples if c is None and i is not None and j is not None]
     moves_indices = not perms.is_identity(g.perm)
 
-    def move(e: Element) -> Element:
-        stack, blocks, first = [e.range_tree], [], 1
+    def plan(tree: Tree) -> tuple:
+        """(range leaves to split, renumbering, new tree, S_i sizes along `graft`, 0 at carets)."""
+        stack, blocks, splits, first = [tree], [], [], 1
         for caret in fit:
             node = stack.pop()
             if not caret:
@@ -82,30 +89,47 @@ def _local_move(g: Element) -> Callable[[Element], Element]:
                 first += node.leaves
                 continue
             if node.left is None:  # split range leaf `first`; nodes to its right keep their shape
-                e, node = e.expand_leaf(e.perm.index(first) + 1), Tree(LEAF, LEAF)
+                splits.append(first)
+                node = Tree(LEAF, LEAF)
             stack += (node.right, node.left)
-        perm = e.perm
+        renumber = None
         if moves_indices:
             renumber, start = [0] * first, first  # the fit leaves `first` one past the last leaf
             for i in reversed(order):
                 node, r = blocks[i]
                 start -= node.leaves
                 renumber[r : r + node.leaves] = range(start, start + node.leaves)
-            perm = tuple(map(renumber.__getitem__, perm))
         trees: list[Tree] = []
         for i in graft:
             trees.append(Tree(trees.pop(), trees.pop()) if i is None else blocks[i][0])
-        e = Element(e.domain_tree, trees[0], perm)
-        if any(node is LEAF for node, _ in blocks):
-            sizes: list[int] = []
-            for i in graft:  # `first` steps back to each node's first leaf
-                if i is None:
-                    sizes.append(sizes.pop() + sizes.pop())
-                    if sizes[-1] == 2 and (merged := e.cancel_pair(e.perm.index(first) + 1)):
-                        e, sizes[-1] = merged, 1
+        cancels = any(blocks[i][0] is LEAF and blocks[j][0] is LEAF for i, j in cherries)
+        sizes = [0 if i is None else blocks[i][0].leaves for i in graft] if cancels else None
+        pack = bytes if first <= 256 else tuple  # bytes hold a search's small tables in less room
+        return pack(splits), renumber and pack(renumber), trees[0], sizes and pack(sizes)
+
+    def move(e: Element, plans: dict[Tree, tuple] | None = None) -> Element:
+        plans = {} if plans is None else plans
+        if (p := plans.get(e.range_tree)) is None:
+            p = plans[e.range_tree] = plan(e.range_tree)
+        splits, renumber, range_tree, sizes = p
+        domain, perm = e.domain_tree, e.perm
+        for r in splits:  # domain leaf i maps to range leaf r, and its halves to r and r + 1
+            i = perm.index(r) + 1
+            domain, perm = split_leaf(domain, i), [v + (v > r) for v in perm]
+            perm.insert(i, r + 1)
+        if renumber:
+            perm = map(renumber.__getitem__, perm)
+        e = Element(domain, range_tree, perm)
+        if sizes:
+            stack, first = [], range_tree.leaves + 1
+            for size in sizes:  # `first` steps back to each node's first leaf
+                if not size:
+                    stack.append(stack.pop() + stack.pop())
+                    if stack[-1] == 2 and (merged := e.cancel_pair(e.perm.index(first) + 1)):
+                        e, stack[-1] = merged, 1
                 else:
-                    sizes.append(blocks[i][0].leaves)
-                    first -= sizes[-1]
+                    stack.append(size)
+                    first -= size
         return e
 
     return move

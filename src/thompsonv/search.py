@@ -3,13 +3,15 @@
 States are reduced diagrams. A reduced diagram is unique, so `==` on states is
 group equality and deduplication is exact. A state is multiplied by a generator
 through `generators.LOCAL_MOVES`, which rewrites only the top carets of its
-range tree and gives the same reduced diagram as `*`. Levels are expanded
-whole: every element of level k is known before level k+1 starts, which makes
-enumeration order, ball sizes and reports deterministic. Point queries meet in the middle
-to double the reachable radius. Memory is capped by a byte budget that charges
-each stored element the bytes measured for it: a fixed cost, a word per leaf
-(trees are interned and shared) and its parent entry when parents are tracked.
-Exceeding it raises a resource error naming the last completed radius.
+range tree and gives the same reduced diagram as `*`. A move's plan depends on
+the range tree alone, so a search stores it once per range tree and drops the
+plans when it returns. Levels are expanded whole: every element of level k is
+known before level k+1 starts, which makes enumeration order, ball sizes and
+reports deterministic. Point queries meet in the middle to double the reachable
+radius. Memory is capped by a byte budget that charges each stored element the
+bytes measured for it: a fixed cost, a word per leaf (trees are interned and
+shared) and its parent entry when parents are tracked; and each stored plan a
+fixed cost. Exceeding it raises a resource error naming the last completed radius.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ DEFAULT_BUDGET_MB = 512
 _ELEMENT_BYTES = 165
 _LEAF_BYTES = 8
 _PARENT_BYTES = 100
+_PLAN_BYTES = 145  # per stored move plan: tracemalloc of the plan dicts at radius 5-7 read 136-153
 
 
 class ResourceLimitError(RuntimeError):
@@ -77,6 +80,11 @@ class _Budget:
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
 
+    def charge_plans(self, count: int, completed_radius: int) -> None:
+        self.used += _PLAN_BYTES * count
+        if self.used > self.limit:
+            raise ResourceLimitError(self.budget_mb, completed_radius)
+
 
 @dataclass
 class BallData:
@@ -115,16 +123,21 @@ class BallData:
 
 def _expand(
     frontier: list[Element], dist: dict[Element, int], depth: int, budget: _Budget,
-    completed_radius: int, parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
+    completed_radius: int, plans: list[dict],
+    parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
 ) -> list[Element]:
     """The next BFS level in discovery order: frontier times `MOVES`, by local moves.
 
     New products get distance `depth`; a budget overrun names `completed_radius`.
+    `plans` holds a plan dict per symbol, in the order of `LOCAL_MOVES`.
     """
     level: list[Element] = []
+    moves = [(symbol, move, table) for (symbol, move), table in zip(LOCAL_MOVES.items(), plans)]
     for e in frontier:
-        for symbol, move in LOCAL_MOVES.items():
-            p = move(e)
+        if e.range_tree not in plans[0]:  # the moves below store a plan per symbol for it
+            budget.charge_plans(len(plans), completed_radius)
+        for symbol, move, table in moves:
+            p = move(e, table)
             if p not in dist:
                 dist[p] = depth
                 budget.charge(p, completed_radius, parent is not None)
@@ -146,8 +159,9 @@ def enumerate_ball(
     parent: dict[Element, tuple[Element, GenSymbol]] | None = {} if track_parents else None
     budget.charge(identity, 0, track_parents)
     levels = [[identity]]
+    plans: list[dict] = [{} for _ in LOCAL_MOVES]
     for d in range(1, radius + 1):
-        levels.append(_expand(levels[-1], distance, d, budget, d - 1, parent))
+        levels.append(_expand(levels[-1], distance, d, budget, d - 1, plans, parent))
         if not levels[-1]:
             break
     return BallData(radius, levels, distance, parent)
@@ -177,13 +191,14 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
         budget.charge(frontier[0], 0)
     dists = [{frontier[0]: 0} for frontier in frontiers]
     depths = [0, 0]
+    plans: list[dict] = [{} for _ in LOCAL_MOVES]
 
     best: int | None = None
     while sum(depths) < radius and best is None:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         other = dists[1 - side]
         frontiers[side] = _expand(
-            frontiers[side], dists[side], depths[side] + 1, budget, sum(depths)
+            frontiers[side], dists[side], depths[side] + 1, budget, sum(depths), plans
         )
         depths[side] += 1
         meets = [other[p] for p in frontiers[side] if p in other]

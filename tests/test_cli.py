@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import thompsonv
 from thompsonv.cli import main
 from thompsonv.elements import Element
+from thompsonv.generators import format_word
+from thompsonv.words import synthesize_word
 
 
 def run(capsys, *argv):
@@ -229,3 +232,20 @@ def test_module_entry_point_exit_codes():
     assert run_module(*survey, THOMPSON_MEM_BUDGET_MB="16") == (2, "")
     code, out = run_module("counterexample", "--n", "5000")  # the default budget holds it
     assert code == 0 and "product_carets: 10001\n" in out
+
+
+def test_word_evaluate_reads_stdin():
+    """A synthesized 1024-caret word is over Linux's 128 KiB limit on one argument, so `-` pipes it."""
+    x = Element.random(1024, random.Random(0)).reduce()
+    word = format_word(synthesize_word(x))
+    assert len(word) > 128 << 10
+    proc = subprocess.run(
+        [sys.executable, "-m", "thompsonv", "word", "--evaluate", "-"],
+        input=word,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(thompsonv.__file__).parents[1])),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == x.text() + "\n"

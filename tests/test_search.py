@@ -17,7 +17,7 @@ from thompsonv.search import (
     enumerate_ball,
     exact_word_length,
 )
-from thompsonv.trees import right_comb
+from thompsonv.trees import random_tree, right_comb
 
 RADIUS = 4
 
@@ -132,6 +132,30 @@ def test_budget_charges_what_the_ball_holds(monkeypatch, track_parents):
     assert 1 / 1.5 <= budgets[0].used / traced <= 1.5
 
 
+def test_budget_charges_stored_plans(monkeypatch):
+    # radius 5 expands levels 0-4, whose elements have 76 range trees: a plan per tree and symbol
+    budgets = []
+
+    class RecordingBudget(search._Budget):
+        def __init__(self, budget_mb):
+            super().__init__(budget_mb)
+            budgets.append(self)
+
+    monkeypatch.setattr(search, "_Budget", RecordingBudget)
+    ball = enumerate_ball(5)
+    elements = sum(
+        search._ELEMENT_BYTES + search._LEAF_BYTES * e.n_leaves + search._PARENT_BYTES
+        for e in ball.distance
+    )
+    assert len({e.range_tree for level in ball.levels[:5] for e in level}) == 76
+    assert budgets[0].used == elements + 608 * search._PLAN_BYTES
+    # plans alone overrun a budget that the elements fit, naming the radius completed before
+    monkeypatch.setattr(search, "_PLAN_BYTES", 1 << 16)
+    with pytest.raises(ResourceLimitError) as err:
+        enumerate_ball(4, budget_mb=1)
+    assert err.value.completed_radius == 1
+
+
 def test_lower_and_upper_consistency_over_ball(ball):
     # caret counts grow at most linearly with distance; the cluster bound
     # dominated by a constant covers every element of the ball
@@ -223,3 +247,31 @@ def test_local_move_mutations_are_caught(ball, monkeypatch):
     swapped[x0], swapped[x0_inv] = swapped[x0_inv], swapped[x0]
     monkeypatch.setattr(generators, "LOCAL_MOVES", swapped)
     assert local_move_mismatches(elements)
+
+
+def test_stored_plans_equal_products(ball):
+    # one plan dict per symbol over every move of the radius-6 search: most moves reuse a plan
+    elements = [e for level in enumerate_ball(5, track_parents=False).levels for e in level]
+    plans = {s: {} for s in MOVES}
+    moves = generators.LOCAL_MOVES.items()
+    assert [(e, s) for e in elements for s, move in moves if move(e, plans[s]) != e * MOVES[s]] == []
+    assert [len(table) for table in plans.values()] == [192] * 8
+    assert len({e.range_tree for e in elements}) == 192
+    # a large reduced element and another with its range tree, whose move reads the stored plan
+    rng = random.Random(22)
+    for _ in range(10):
+        a = random_element(rng.randint(50, 400), rng)
+        b = a
+        while b == a or not b.is_reduced():
+            images = list(a.perm)
+            rng.shuffle(images)
+            b = Element(random_tree(a.domain_tree.carets, rng), a.range_tree, tuple(images))
+        for s, move in moves:
+            table = {}
+            assert move(a, table) == a * MOVES[s]
+            assert move(b, table) == b * MOVES[s]
+            assert list(table) == [a.range_tree]
+    # mutation: one dict shared by all eight symbols hands each symbol another's plan
+    shared = {}
+    small = [e for level in ball.levels[:4] for e in level]
+    assert [(e, s) for e in small for s, move in moves if move(e, shared) != e * MOVES[s]]
