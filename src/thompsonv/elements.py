@@ -66,7 +66,7 @@ def _relabel(a: Address, outer: Address, target: Address) -> Address:
     return ((d << s) + num - (m << s), e + s)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
     """A tree-pair diagram. `==` and hashing compare diagrams, so an element and
     its expansions are unequal; `equals` compares group elements (the reduced
@@ -78,14 +78,17 @@ class Element:
     range_tree: Tree
     perm: perms.Perm
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", perms.check_perm(self.perm))
-        n = self.domain_tree.leaves
-        if self.range_tree.leaves != n or len(self.perm) != n:
+    def __init__(self, domain_tree: Tree, range_tree: Tree, perm: perms.Perm) -> None:
+        perm = perms.check_perm(perm)
+        n = domain_tree.leaves
+        if range_tree.leaves != n or len(perm) != n:
             raise ValueError(
-                f"leaf counts disagree: domain {n}, range {self.range_tree.leaves}, "
-                f"permutation degree {len(self.perm)}"
+                f"leaf counts disagree: domain {n}, range {range_tree.leaves}, "
+                f"permutation degree {len(perm)}"
             )
+        object.__setattr__(self, "domain_tree", domain_tree)  # frozen: each field is set once
+        object.__setattr__(self, "range_tree", range_tree)
+        object.__setattr__(self, "perm", perm)
 
     # -- construction and text form --------------------------------------
 

@@ -6,19 +6,24 @@ caret has exactly two children, so a tree with N carets has N+1 leaves.
 Trees are interned: `Tree(left, right)` returns the one live node of that
 shape, so equal trees are the same object, `==` and hashing are identity, and
 diagrams share their common subtrees. Nodes are immutable, and a node no live
-tree uses is freed.
+tree uses is freed: the node table maps (left, right) to a weak reference
+whose death callback drops the entry unless it names a newer node.
 
 A leaf's address (num, exp) names its dyadic interval [num/2^exp, (num+1)/2^exp);
 the root's is (0, 0). Two leaves hang from one caret exactly when their
 addresses are the left and right halves of one interval (`halves`): that one
 rule rebuilds trees from their leaves (`tree_of`) and reduces diagrams. Text
-is read and written through the addresses too, so no walk recurses.
+is written through the addresses and read with a stack, so no walk recurses.
 """
 
 from __future__ import annotations
 
+import re
+from _weakref import _remove_dead_weakref, ref
 from threading import Lock
-from weakref import WeakValueDictionary
+
+_SPACE = re.compile(r"\s*")  # on str, \s is exactly str.isspace and \d str.isdecimal
+_INT = re.compile(r"\s*(\d*)")
 
 
 class ParseError(ValueError):
@@ -29,11 +34,17 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+class _NodeRef(ref):
+    """A weak reference to a node that keeps its key in the node table."""
+
+    __slots__ = ("key",)
+
+
 class Tree:
     """One node per shape: a leaf `Tree()`, or a caret `Tree(left, right)`."""
 
     __slots__ = ("left", "right", "leaves", "__weakref__")
-    _nodes: WeakValueDictionary[tuple[Tree | None, Tree | None], Tree] = WeakValueDictionary()
+    _nodes: dict[tuple[Tree | None, Tree | None], _NodeRef] = {}
     _lock = Lock()
 
     left: Tree | None
@@ -41,18 +52,20 @@ class Tree:
     leaves: int
 
     def __new__(cls, left: Tree | None = None, right: Tree | None = None) -> Tree:
-        node = cls._nodes.get((left, right))
+        node = (entry := cls._nodes.get((left, right))) and entry()  # None if new or freed
         if node is None:
             if (left is None) != (right is None):
                 raise ValueError("a caret needs exactly two children")
             with cls._lock:  # two threads must not create two nodes of one shape
-                node = cls._nodes.get((left, right))
+                node = (entry := cls._nodes.get((left, right))) and entry()
                 if node is None:
                     node = object.__new__(cls)
                     object.__setattr__(node, "left", left)
                     object.__setattr__(node, "right", right)
                     object.__setattr__(node, "leaves", left.leaves + right.leaves if left else 1)
-                    cls._nodes[left, right] = node
+                    entry = _NodeRef(node, _forget)
+                    entry.key = (left, right)
+                    cls._nodes[entry.key] = entry
         return node
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -73,6 +86,12 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"parse_tree({tree_text(self)!r})"
+
+
+def _forget(entry: _NodeRef, nodes=Tree._nodes, remove=_remove_dead_weakref) -> None:
+    """A node died: drop its entry unless that names a newer node. This can run inside
+    `Tree.__new__`'s lock or at exit, so it takes no lock and reads no global."""
+    remove(nodes, entry.key)
 
 
 LEAF = Tree()
@@ -111,56 +130,58 @@ class Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            got = self.peek() or "end of input"
-            raise ParseError(f"expected {ch!r}, got {got!r}", self.pos)
+        if (got := self.peek()) != ch:
+            raise ParseError(f"expected {ch!r}, got {got or 'end of input'!r}", self.pos)
         self.pos += 1
 
     def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        digits = _INT.match(self.text, self.pos)
+        self.pos = digits.end()
+        if not digits[1]:
+            raise ParseError("expected an integer", self.pos)
+        return int(digits[1])
 
     def done(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected trailing {self.text[self.pos]!r}", self.pos)
+        if ch := self.peek():
+            raise ParseError(f"unexpected trailing {ch!r}", self.pos)
 
 
 def parse_tree_at(sc: Scanner) -> Tree:
-    """Read one tree. The address of the node being read is the only state."""
-    addresses: list[Address] = []
-    num = exp = 0
+    """Read one tree in one pass. The stack holds the open carets: None while
+    a caret's left child is read, then that child."""
+    text, pos = sc.text, sc.pos
+    stack: list[Tree | None] = []
+    t = None  # the subtree just read
     while True:
-        ch = sc.peek()
-        if ch == "(":
-            sc.pos += 1
-            num, exp = num << 1, exp + 1
-            continue
-        if ch != ".":
-            raise ParseError(f"expected '.' or '(', got {ch or 'end of input'!r}", sc.pos)
-        sc.pos += 1
-        addresses.append((num, exp))
-        while num & 1:  # a right child ends its parent
-            sc.expect(")")
-            num, exp = num >> 1, exp - 1
-        if exp == 0:
-            return tree_of(addresses)
-        sc.expect(",")
-        num += 1
+        ch = text[pos : pos + 1]
+        if ch.isspace():
+            pos = _SPACE.match(text, pos).end()
+            ch = text[pos : pos + 1]
+        if t is None:  # a subtree starts here
+            if ch == "(":
+                stack.append(None)
+            elif ch == ".":
+                t = LEAF
+            else:
+                raise ParseError(f"expected '.' or '(', got {ch or 'end of input'!r}", pos)
+        elif not stack:
+            sc.pos = pos
+            return t
+        else:  # a left child waits for ',', a right child ends its caret
+            want = "," if stack[-1] is None else ")"
+            if ch != want:
+                sc.pos = pos
+                sc.expect(want)
+            if stack[-1] is None:
+                stack[-1], t = t, None
+            else:
+                t = Tree(stack.pop(), t)
+        pos += 1
 
 
 def parse_tree(text: str) -> Tree:

@@ -1,9 +1,20 @@
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import expand_randomly, random_element, random_raw_element, reduce_random_order
+from conftest import (
+    expand_randomly,
+    left_comb,
+    random_element,
+    random_raw_element,
+    reduce_random_order,
+)
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
 from thompsonv.intervals import DyadicInterval, PiecewiseMap, graph_components
@@ -39,13 +50,86 @@ def test_parse_and_text_round_trip():
         assert Element.parse(text).text() == text
     # whitespace is ignored
     assert Element.parse(" (.,.) | (.,.) | [ 2 , 1 ] ") == SWAP
-    with pytest.raises(ParseError):
-        Element.parse("(.,.)|(.,.)")
-    with pytest.raises(ParseError):
-        Element.parse("(.,.)|(.,.)|[2,1")
-    with pytest.raises(ParseError) as err:  # a digit that int() rejects
-        Element.parse("(.,.)|(.,.)|[²,1]")
-    assert err.value.offset == 13
+
+
+PREFIX = "(.,.)|(.,.)|"
+
+
+@pytest.mark.parametrize(
+    "text,message,offset",
+    [
+        (PREFIX + "[2,1", "expected ']', got 'end of input'", 16),
+        (PREFIX + "[²,1]", "expected an integer", 13),  # a digit that int() rejects
+        (PREFIX + "[2 1]", "expected ']', got '1'", 15),
+        (PREFIX + "[]", "expected an integer", 13),
+        (PREFIX + "[1_0,1]", "expected ']', got '_'", 14),
+        (PREFIX + "[+1,2]", "expected an integer", 13),
+        (PREFIX + "[2,1] x", "unexpected trailing 'x'", 18),
+        ("(.,.)|(.,.)", "expected '|', got 'end of input'", 11),
+        ("((.,.)", "expected ',', got 'end of input'", 6),
+        ("(.;.)", "expected ',', got ';'", 2),
+        ("( . ,", "expected '.' or '(', got 'end of input'", 5),
+    ],
+)
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        Element.parse(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_parse_reads_decimal_digits_of_any_script():
+    with pytest.raises(ValueError, match=re.escape("(2, 3) is not a bijection of 1..2")):
+        Element.parse(PREFIX + "[2,٣]")  # U+0663, Arabic-Indic three
+
+
+def spaced(text: str) -> str:
+    """text with whitespace of several kinds between every two tokens."""
+    tokens = re.findall(r"\d+|\S", text)
+    gaps = itertools.cycle([" ", "\t", "\n ", "\u3000", "  "])
+    return "".join(token + next(gaps) for token in tokens)
+
+
+def test_parse_skips_whitespace_between_every_token():
+    x = random_raw_element(1000, random.Random(5))
+    assert Element.parse(spaced(x.text())) == x
+    comb = Element(right_comb(5000), left_comb(5000), tuple(range(1, 5002)))
+    assert Element.parse(spaced(comb.text())) == comb  # 5000 deep: no recursion
+
+
+def test_copies_keep_equality_hash_and_interned_trees():
+    x = random_raw_element(30, random.Random(6))
+    copies = [
+        pickle.loads(pickle.dumps(x)),
+        copy.copy(x),
+        copy.deepcopy(x),
+        dataclasses.replace(x),
+        dataclasses.replace(x, perm=list(x.perm)),
+    ]
+    for y in copies:
+        assert y == x and hash(y) == hash(x)
+        assert y.domain_tree is x.domain_tree and y.range_tree is x.range_tree
+        assert y.perm == x.perm and type(y.perm) is tuple
+
+
+CARET = Tree(LEAF, LEAF)
+
+
+@pytest.mark.parametrize(
+    "domain,range_,perm,message",
+    [
+        (CARET, CARET, (1, 1), "(1, 1) is not a bijection of 1..2"),
+        (CARET, CARET, (1, 2, 3), "leaf counts disagree: domain 2, range 2, permutation degree 3"),
+        (CARET, LEAF, (1, 2), "leaf counts disagree: domain 2, range 1, permutation degree 2"),
+        (LEAF, LEAF, (), "permutation must have degree at least 1"),
+    ],
+)
+def test_constructor_checks_every_element(domain, range_, perm, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Element(domain, range_, perm)
+    x = Element(LEAF, LEAF, [1])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(x, domain_tree=domain, range_tree=range_, perm=perm)
 
 
 def test_parse_print_round_trip_random():

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -122,6 +123,7 @@ def test_budget_charges_what_the_ball_holds(monkeypatch, track_parents):
             budgets.append(self)
 
     monkeypatch.setattr(search, "_Budget", RecordingBudget)
+    gc.collect()  # nodes kept alive by earlier tests' garbage would be shared, not traced
     tracemalloc.start()
     try:
         ball = enumerate_ball(5, track_parents=track_parents)

@@ -4,11 +4,14 @@ import gc
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from conftest import left_comb
+from thompsonv import trees
 from thompsonv.intervals import DyadicInterval
 from thompsonv.trees import (
     LEAF,
@@ -55,6 +58,50 @@ def test_trees_are_interned_and_freed():
     del t
     gc.collect()
     assert len(Tree._nodes) == before
+
+
+def test_freed_shape_is_interned_again():
+    left, right = right_comb(40), left_comb(40)
+    text = tree_text(Tree(left, right))
+    gc.collect()
+    assert (left, right) not in Tree._nodes
+    t = parse_tree(text)
+    assert Tree._nodes[left, right]() is t
+    assert Tree(left, right) is t and tree_text(t) == text
+
+
+def test_removal_callback_keeps_an_entry_naming_a_live_node():
+    t = Tree(right_comb(3), LEAF)
+    entry = Tree._nodes[t.left, t.right]
+    trees._forget(entry)  # as if a dead node of this shape were freed after t was made
+    assert Tree._nodes[t.left, t.right] is entry
+    assert Tree(t.left, t.right) is t
+
+
+def test_threads_building_the_same_trees_get_the_same_nodes():
+    def build(out: list) -> None:
+        start.wait(timeout=60)
+        for seed in range(200):
+            rng = random.Random(seed)
+            out.append(random_tree(rng.randint(20, 60), rng))
+
+    start = threading.Barrier(4)
+    results: list[list[Tree]] = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so creations interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == 200 for out in results)
+    for out in results[1:]:
+        assert all(a is b for a, b in zip(results[0], out))
+    assert all(Tree._nodes[t.left, t.right]() is t for t in results[0])
 
 
 def test_parse_ignores_whitespace():
