@@ -10,14 +10,31 @@ known before level k+1 starts, which makes enumeration order, ball sizes and
 reports deterministic. Point queries meet in the middle to double the reachable
 radius. Memory is capped by a byte budget that charges each stored element the
 bytes measured for it: a fixed cost, a word per leaf (trees are interned and
-shared) and its parent entry when parents are tracked; and each stored plan a
-fixed cost. Exceeding it raises a resource error naming the last completed radius.
+shared) and its parent entry when parents are tracked; and each plan a fixed
+cost as it is stored. Exceeding it raises a resource error naming the last
+completed radius.
+
+Moves that cannot reach a new element are skipped (Epstein et al., *Word
+Processing in Groups*, 1992). Order words shortlex, symbols in `LOCAL_MOVES`
+order. Each element has one shortlex-least geodesic, and every subword of it is
+the shortlex-least geodesic of its own element. Each level is expanded in order,
+each element by its moves in order, so by induction every element is first
+reached by its shortlex-least geodesic and each level lists its elements in
+shortlex order of those words. Every window of `_WINDOW` symbols of such a word
+is then in the table `_windows`, so a move whose last window is not in it can
+only repeat an element. Each frontier element keeps as its state the last
+`_WINDOW` - 1 symbols of the word that first reached it, and makes only the
+moves that extend its state to a window of the table. The same holds from any
+start, so both sides of a length query prune alike. Levels, their order,
+distances, parents and witness words are those of the search that makes all
+eight moves.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 from .elements import Element
 from .generators import LOCAL_MOVES, GenSymbol, Word
@@ -30,6 +47,7 @@ _ELEMENT_BYTES = 165
 _LEAF_BYTES = 8
 _PARENT_BYTES = 100
 _PLAN_BYTES = 145  # per stored move plan: tracemalloc of the plan dicts at radius 5-7 read 136-153
+_WINDOW = 3  # symbols per pruning window: 2, 3 and 4 timed alike at radius 6-8; 3 needs 44 states
 
 
 class ResourceLimitError(RuntimeError):
@@ -80,8 +98,8 @@ class _Budget:
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
 
-    def charge_plans(self, count: int, completed_radius: int) -> None:
-        self.used += _PLAN_BYTES * count
+    def charge_plan(self, completed_radius: int) -> None:
+        self.used += _PLAN_BYTES
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
 
@@ -121,22 +139,64 @@ class BallData:
         return tuple(reversed(symbols))
 
 
+@cache
+def _windows(k: int) -> tuple[Word, ...]:
+    """The shortlex-least geodesic words of up to k symbols, in shortlex order.
+
+    A BFS of radius k with first-discovery words. It makes a move only where the
+    extended word less its first symbol is in the table, as a suffix of a
+    shortlex-least geodesic is one.
+    """
+    words: list[Word] = [()]
+    seen = {Element.identity()}
+    level: list[tuple[Element, Word]] = [(Element.identity(), ())]
+    for _ in range(k):
+        known, last = set(words), level
+        level = []
+        for e, w in last:
+            for s, move in LOCAL_MOVES.items():
+                v = w + (s,)
+                if v[1:] in known and (p := move(e)) not in seen:
+                    seen.add(p)
+                    level.append((p, v))
+        words += [w for _, w in level]
+    return tuple(words)
+
+
+@cache
+def _steps() -> list[list[tuple[int, int]]]:
+    """Per state, the moves it makes: (index in `LOCAL_MOVES`, the state after).
+
+    The states are the windows of fewer than `_WINDOW` symbols, numbered in
+    shortlex order, so the empty word is state 0.
+    """
+    windows = _windows(_WINDOW)
+    states = {w: i for i, w in enumerate(w for w in windows if len(w) < _WINDOW)}
+    allowed = set(windows)
+    return [
+        [(i, states[(w + (s,))[1 - _WINDOW :]]) for i, s in enumerate(LOCAL_MOVES) if w + (s,) in allowed]
+        for w in states
+    ]
+
+
 def _expand(
-    frontier: list[Element], dist: dict[Element, int], depth: int, budget: _Budget,
-    completed_radius: int, plans: list[dict],
+    frontier: list[Element], states: bytearray, dist: dict[Element, int], depth: int,
+    budget: _Budget, completed_radius: int, plans: list[dict],
     parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
-) -> list[Element]:
-    """The next BFS level in discovery order: frontier times `MOVES`, by local moves.
+) -> tuple[list[Element], bytearray]:
+    """The next BFS level in discovery order and its states, by the moves `_steps` allows.
 
     New products get distance `depth`; a budget overrun names `completed_radius`.
     `plans` holds a plan dict per symbol, in the order of `LOCAL_MOVES`.
     """
     level: list[Element] = []
-    moves = [(symbol, move, table) for (symbol, move), table in zip(LOCAL_MOVES.items(), plans)]
-    for e in frontier:
-        if e.range_tree not in plans[0]:  # the moves below store a plan per symbol for it
-            budget.charge_plans(len(plans), completed_radius)
-        for symbol, move, table in moves:
+    after = bytearray()
+    moves = list(LOCAL_MOVES.items())
+    steps = [[(*moves[i], plans[i], state) for i, state in row] for row in _steps()]
+    for e, state in zip(frontier, states):
+        for symbol, move, table, next_state in steps[state]:
+            if e.range_tree not in table:
+                budget.charge_plan(completed_radius)
             p = move(e, table)
             if p not in dist:
                 dist[p] = depth
@@ -144,7 +204,8 @@ def _expand(
                 if parent is not None:
                     parent[p] = (e, symbol)
                 level.append(p)
-    return level
+                after.append(next_state)
+    return level, after
 
 
 def enumerate_ball(
@@ -159,10 +220,12 @@ def enumerate_ball(
     parent: dict[Element, tuple[Element, GenSymbol]] | None = {} if track_parents else None
     budget.charge(identity, 0, track_parents)
     levels = [[identity]]
+    states = bytearray(1)
     plans: list[dict] = [{} for _ in LOCAL_MOVES]
     for d in range(1, radius + 1):
-        levels.append(_expand(levels[-1], distance, d, budget, d - 1, plans, parent))
-        if not levels[-1]:
+        level, states = _expand(levels[-1], states, distance, d, budget, d - 1, plans, parent)
+        levels.append(level)
+        if not level:
             break
     return BallData(radius, levels, distance, parent)
 
@@ -187,6 +250,7 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
         return LengthResult(0, radius)
 
     frontiers = [[Element.identity()], [target]]
+    states = [bytearray(1), bytearray(1)]  # both sides start from the empty word
     for frontier in frontiers:
         budget.charge(frontier[0], 0)
     dists = [{frontier[0]: 0} for frontier in frontiers]
@@ -197,8 +261,8 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
     while sum(depths) < radius and best is None:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         other = dists[1 - side]
-        frontiers[side] = _expand(
-            frontiers[side], dists[side], depths[side] + 1, budget, sum(depths), plans
+        frontiers[side], states[side] = _expand(
+            frontiers[side], states[side], dists[side], depths[side] + 1, budget, sum(depths), plans
         )
         depths[side] += 1
         meets = [other[p] for p in frontiers[side] if p in other]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -135,7 +136,8 @@ def test_budget_charges_what_the_ball_holds(monkeypatch, track_parents):
 
 
 def test_budget_charges_stored_plans(monkeypatch):
-    # radius 5 expands levels 0-4, whose elements have 76 range trees: a plan per tree and symbol
+    # radius 5 expands levels 0-4; an element stores a plan per range tree for each symbol its
+    # state allows, the state being the last K-1 symbols of its witness word
     budgets = []
 
     class RecordingBudget(search._Budget):
@@ -149,13 +151,103 @@ def test_budget_charges_stored_plans(monkeypatch):
         search._ELEMENT_BYTES + search._LEAF_BYTES * e.n_leaves + search._PARENT_BYTES
         for e in ball.distance
     )
-    assert len({e.range_tree for level in ball.levels[:5] for e in level}) == 76
-    assert budgets[0].used == elements + 608 * search._PLAN_BYTES
+    windows = set(search._windows(search._WINDOW))
+    stored = {
+        (e.range_tree, s)
+        for level in ball.levels[:5]
+        for e in level
+        for s in MOVES
+        if ball.witness_word(e)[1 - search._WINDOW :] + (s,) in windows
+    }
+    assert len(stored) < 8 * len({e.range_tree for level in ball.levels[:5] for e in level})
+    assert budgets[0].used == elements + len(stored) * search._PLAN_BYTES
     # plans alone overrun a budget that the elements fit, naming the radius completed before
     monkeypatch.setattr(search, "_PLAN_BYTES", 1 << 16)
     with pytest.raises(ResourceLimitError) as err:
         enumerate_ball(4, budget_mb=1)
     assert err.value.completed_radius == 1
+
+
+def unpruned_ball(radius):
+    """Reference BFS: all eight moves on every element, levels expanded in order."""
+    identity = Element.identity()
+    levels, distance, parent = [[identity]], {identity: 0}, {}
+    for d in range(1, radius + 1):
+        levels.append([])
+        for e in levels[-2]:
+            for s, move in generators.LOCAL_MOVES.items():
+                p = move(e)
+                if p not in distance:
+                    distance[p], parent[p] = d, (e, s)
+                    levels[-1].append(p)
+    return levels, distance, parent
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return unpruned_ball(6)
+
+
+def test_witness_words_are_shortlex_least(ball):
+    # every word of up to RADIUS symbols, shortlex in LOCAL_MOVES order: the first to reach an
+    # element is its shortlex-least geodesic
+    symbols = generators.LOCAL_MOVES
+    words = [w for n in range(RADIUS + 1) for w in itertools.product(symbols, repeat=n)]
+    assert len(words) == 4681
+    least = {}
+    for word in words:
+        least.setdefault(evaluate_word(word), word)
+    assert len(least) == ball.total()
+    assert all(ball.witness_word(e) == word for e, word in least.items())
+
+
+def test_windows_are_the_small_balls(ball):
+    for k, count in [(2, 44), (3, 211), (4, 978)]:
+        windows = search._windows(k)
+        assert len(windows) == count == sum(ball.sizes()[: k + 1])
+        assert len(set(windows)) == count and [len(w) for w in windows] == sorted(map(len, windows))
+        assert all(w[:-1] in windows and w[1:] in windows for w in windows if w)
+        assert all(GenSymbol("pi", -1) not in w for w in windows)
+        assert [evaluate_word(w) for w in windows] == [e for level in ball.levels[: k + 1] for e in level]
+
+
+@pytest.mark.parametrize("track_parents", [False, True])
+def test_pruned_ball_equals_unpruned(reference, track_parents):
+    levels, distance, parent = reference
+    ball = enumerate_ball(6, track_parents=track_parents)
+    assert ball.levels == levels
+    assert list(ball.distance.items()) == list(distance.items())
+    assert ball.parent == (parent if track_parents else None)
+
+
+def test_pruned_ball_makes_fewer_moves(monkeypatch, reference):
+    # radius 6 expands the 4,410 elements of levels 0-5; all eight moves on each would be 35,280
+    made = []
+    search._steps()  # built before counting: only the search's own moves count
+
+    def counting(symbol, move):
+        return lambda e, plans=None: made.append(symbol) or move(e, plans)
+
+    counted = {s: counting(s, move) for s, move in generators.LOCAL_MOVES.items()}
+    monkeypatch.setattr(search, "LOCAL_MOVES", counted)
+    enumerate_ball(6, track_parents=False)
+    levels, _, parent = reference
+    words = {levels[0][0]: ()}
+    for e in (e for level in levels[1:6] for e in level):
+        words[e] = words[parent[e][0]] + (parent[e][1],)
+    windows = set(search._windows(search._WINDOW))
+    allowed = [s for w in words.values() for s in MOVES if w[1 - search._WINDOW :] + (s,) in windows]
+    assert len(made) == len(allowed) <= 23557
+
+
+def test_pruned_length_agrees_with_reference(reference):
+    levels, distance, _ = reference
+    rng = random.Random(24)
+    elements = [e for level in levels[:5] for e in level]
+    elements += rng.sample(levels[5] + levels[6], 200)
+    assert all(exact_word_length(e, 12).length == distance[e] for e in elements)
+    expanded = levels[6][0].expand_leaf(3)
+    assert exact_word_length(expanded, 12).length == 6
 
 
 def test_lower_and_upper_consistency_over_ball(ball):
@@ -203,7 +295,7 @@ def local_move_mismatches(elements):
 
 
 def test_local_moves_equal_products():
-    # every product of the radius-6 search: all eight moves on the radius-5 ball
+    # all eight moves on the radius-5 ball, which include every product of the radius-6 search
     elements = [e for level in enumerate_ball(5, track_parents=False).levels for e in level]
     assert len(elements) * len(MOVES) == 35280
     assert local_move_mismatches(elements) == []
@@ -252,7 +344,7 @@ def test_local_move_mutations_are_caught(ball, monkeypatch):
 
 
 def test_stored_plans_equal_products(ball):
-    # one plan dict per symbol over every move of the radius-6 search: most moves reuse a plan
+    # one plan dict per symbol over all eight moves on the radius-5 ball: most moves reuse a plan
     elements = [e for level in enumerate_ball(5, track_parents=False).levels for e in level]
     plans = {s: {} for s in MOVES}
     moves = generators.LOCAL_MOVES.items()
