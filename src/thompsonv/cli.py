@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import permutations as perms
 from .bounds import birget_upper, new_upper
 from .collapse import collapse_clusters
 from .elements import Element
@@ -40,11 +39,6 @@ def _number(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return f"{value:.6f}"
-
-
-def _carets_clusters(x: Element) -> tuple[int, int]:
-    """N and B, read off a reduced diagram."""
-    return x.domain_tree.carets, len(perms.cluster_runs(x.perm))
 
 
 def build_parser() -> _Parser:
@@ -120,11 +114,9 @@ def _run(args: argparse.Namespace) -> None:
     elif cmd == "eq":
         print("true" if Element.parse(args.a).equals(Element.parse(args.b)) else "false")
     elif cmd == "stats":
-        x = Element.parse(args.element).reduce()
-        n, b = _carets_clusters(x)
-        in_f = "true" if perms.is_identity(x.perm) else "false"
-        in_t = "true" if perms.cyclic_shift(x.perm) is not None else "false"
-        print(f"N={n} B={b} inF={in_f} inT={in_t}")
+        x = Element.parse(args.element)
+        in_f, in_t = str(x.in_f()).lower(), str(x.in_t()).lower()
+        print(f"N={x.caret_count()} B={x.cluster_count()} inF={in_f} inT={in_t}")
     elif cmd == "map":
         for src, tgt in Element.parse(args.element).interval_map().pieces:
             print(f"{src} -> {tgt}")
@@ -156,17 +148,15 @@ def _run(args: argparse.Namespace) -> None:
     elif cmd == "counterexample":
         y = counterexample_y(args.n)
         print(f"y_n: {y.text()}")
-        n, b = _carets_clusters(y.reduce())
-        print(f"y_n_carets: {n}")
-        print(f"y_n_clusters: {b}")
+        print(f"y_n_carets: {y.caret_count()}")
+        print(f"y_n_clusters: {y.cluster_count()}")
         report = verify_conjugation_identity(args.n)
         print(f"conjugation_as_written: {str(report.as_written).lower()}")
         print(f"conjugation_mirrored: {str(report.mirrored).lower()}")
         product, word = counterexample_product(args.n)
         print(f"product: {product.text()}")
-        n, b = _carets_clusters(product.reduce())
-        print(f"product_carets: {n}")
-        print(f"product_clusters: {b}")
+        print(f"product_carets: {product.caret_count()}")
+        print(f"product_clusters: {product.cluster_count()}")
         print(f"witness_word_length: {len(word)}")
         print(f"witness_word: {format_word(word)}")
     elif cmd == "survey":

@@ -252,15 +252,17 @@ class Element:
         """Carets of the reduced diagram (both trees always agree)."""
         return self.reduce().domain_tree.carets
 
+    # Expanding a leaf keeps the cluster count, an identity permutation and a
+    # cyclic shift, so the next three read any diagram of the element.
     def cluster_count(self) -> int:
-        """Clusters of the reduced permutation; diagram-independent."""
-        return len(perms.cluster_runs(self.reduce().perm))
+        """Clusters of the permutation: B."""
+        return len(perms.cluster_runs(self.perm))
 
     def in_f(self) -> bool:
-        return perms.is_identity(self.reduce().perm)
+        return perms.is_identity(self.perm)
 
     def in_t(self) -> bool:
-        return perms.cyclic_shift(self.reduce().perm) is not None
+        return perms.cyclic_shift(self.perm) is not None
 
     def interval_map(self) -> PiecewiseMap:
         """Right-continuous map view of the reduced diagram."""

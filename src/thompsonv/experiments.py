@@ -109,8 +109,7 @@ def survey_bounds(
     records = []
     for _ in range(count):
         x = Element.random(carets, rng).reduce()
-        n = x.domain_tree.carets
-        b = len(perms.cluster_runs(x.perm))
+        n, b = x.domain_tree.carets, x.cluster_count()
         records.append(
             SurveyRecord(x.text(), n, b, ball.distance_of(x), birget_upper(n), new_upper(n, b))
         )
@@ -179,8 +178,7 @@ def estimate_constants(radius: int, budget_mb: int | None = None) -> ConstantsRe
         if dist == 0:
             continue
         for e in level:
-            n = e.domain_tree.carets
-            b = len(perms.cluster_runs(e.perm))
+            n, b = e.domain_tree.carets, e.cluster_count()
             r1 = n / dist
             if r1 > c1:
                 c1, w1 = r1, e.text()

@@ -5,14 +5,15 @@ group equality and deduplication is exact. A state is multiplied by a generator
 through `generators.LOCAL_MOVES`, which rewrites only the top carets of its
 range tree and gives the same reduced diagram as `*`. A move's plan depends on
 the range tree alone, so a search stores it once per range tree and drops the
-plans when it returns. Levels are expanded whole: every element of level k is
-known before level k+1 starts, which makes enumeration order, ball sizes and
-reports deterministic. Point queries meet in the middle to double the reachable
-radius. Memory is capped by a byte budget that charges each stored element the
-bytes measured for it: a fixed cost, a word per leaf (trees are interned and
-shared) and its parent entry when parents are tracked; and each plan a fixed
-cost as it is stored. Exceeding it raises a resource error naming the last
-completed radius.
+plans when it returns. Every search runs through one level loop,
+`_Search.expand`: the ball, both sides of a length query and the window table.
+Levels are expanded whole: every element of level k is known before level k+1
+starts, which makes enumeration order, ball sizes and reports deterministic.
+Point queries meet in the middle to double the reachable radius. Memory is
+capped by a byte budget that charges each stored element the bytes measured
+for it: a fixed cost, a word per leaf (trees are interned and shared) and its
+parent entry when parents are tracked; and each plan a fixed cost as it is
+stored. Exceeding it raises a resource error naming the last completed radius.
 
 Moves that cannot reach a new element are skipped (Epstein et al., *Word
 Processing in Groups*, 1992). Order words shortlex, symbols in `LOCAL_MOVES`
@@ -27,7 +28,7 @@ only repeat an element. Each frontier element keeps as its state the last
 moves that extend its state to a window of the table. The same holds from any
 start, so both sides of a length query prune alike. Levels, their order,
 distances, parents and witness words are those of the search that makes all
-eight moves.
+eight moves, which is how `_windows` builds the table.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _LEAF_BYTES = 8
 _PARENT_BYTES = 100
 _PLAN_BYTES = 145  # per stored move plan: tracemalloc of the plan dicts at radius 5-7 read 136-153
 _WINDOW = 3  # symbols per pruning window: 2, 3 and 4 timed alike at radius 6-8; 3 needs 44 states
+_Parents = dict[Element, tuple[Element, GenSymbol]] | None  # element -> (predecessor, move)
 
 
 class ResourceLimitError(RuntimeError):
@@ -93,13 +95,8 @@ class _Budget:
         self.limit = budget_mb << 20
         self.used = 0
 
-    def charge(self, e: Element, completed_radius: int, with_parent: bool = False) -> None:
-        self.used += _ELEMENT_BYTES + _LEAF_BYTES * e.n_leaves + _PARENT_BYTES * with_parent
-        if self.used > self.limit:
-            raise ResourceLimitError(self.budget_mb, completed_radius)
-
-    def charge_plan(self, completed_radius: int) -> None:
-        self.used += _PLAN_BYTES
+    def charge(self, nbytes: int, completed_radius: int) -> None:
+        self.used += nbytes
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
 
@@ -111,7 +108,7 @@ class BallData:
     radius: int
     levels: list[list[Element]]
     distance: dict[Element, int]
-    parent: dict[Element, tuple[Element, GenSymbol]] | None
+    parent: _Parents
 
     def sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -143,24 +140,13 @@ class BallData:
 def _windows(k: int) -> tuple[Word, ...]:
     """The shortlex-least geodesic words of up to k symbols, in shortlex order.
 
-    A BFS of radius k with first-discovery words. It makes a move only where the
-    extended word less its first symbol is in the table, as a suffix of a
-    shortlex-least geodesic is one.
+    They are the witness words of a radius-k search with parents in which
+    every element makes every move, as the module docstring shows. It runs
+    under the default budget.
     """
-    words: list[Word] = [()]
-    seen = {Element.identity()}
-    level: list[tuple[Element, Word]] = [(Element.identity(), ())]
-    for _ in range(k):
-        known, last = set(words), level
-        level = []
-        for e, w in last:
-            for s, move in LOCAL_MOVES.items():
-                v = w + (s,)
-                if v[1:] in known and (p := move(e)) not in seen:
-                    seen.add(p)
-                    level.append((p, v))
-        words += [w for _, w in level]
-    return tuple(words)
+    every = [[(i, 0) for i in range(len(LOCAL_MOVES))]]
+    ball = _ball(k, _Budget(DEFAULT_BUDGET_MB), every, {})
+    return tuple(ball.witness_word(e) for level in ball.levels for e in level)
 
 
 @cache
@@ -179,33 +165,66 @@ def _steps() -> list[list[tuple[int, int]]]:
     ]
 
 
-def _expand(
-    frontier: list[Element], states: bytearray, dist: dict[Element, int], depth: int,
-    budget: _Budget, completed_radius: int, plans: list[dict],
-    parent: dict[Element, tuple[Element, GenSymbol]] | None = None,
-) -> tuple[list[Element], bytearray]:
-    """The next BFS level in discovery order and its states, by the moves `_steps` allows.
+def _rows(steps: list[list[tuple[int, int]]]) -> list[list[tuple]]:
+    """Per state, its moves as (symbol, move, plan dict, state after); one plan dict per symbol."""
+    moves = [(*item, {}) for item in LOCAL_MOVES.items()]
+    return [[(*moves[i], state) for i, state in row] for row in steps]
 
-    New products get distance `depth`; a budget overrun names `completed_radius`.
-    `plans` holds a plan dict per symbol, in the order of `LOCAL_MOVES`.
+
+class _Search:
+    """A breadth-first search from `start`, grown one whole level by `expand`.
+
+    Each element makes the moves that `rows` (from `_rows`) lists for its
+    state; the start has the empty word's state 0. Both sides of a length
+    query share their rows, and so their plans.
     """
-    level: list[Element] = []
-    after = bytearray()
-    moves = list(LOCAL_MOVES.items())
-    steps = [[(*moves[i], plans[i], state) for i, state in row] for row in _steps()]
-    for e, state in zip(frontier, states):
-        for symbol, move, table, next_state in steps[state]:
-            if e.range_tree not in table:
-                budget.charge_plan(completed_radius)
-            p = move(e, table)
-            if p not in dist:
-                dist[p] = depth
-                budget.charge(p, completed_radius, parent is not None)
-                if parent is not None:
-                    parent[p] = (e, symbol)
-                level.append(p)
-                after.append(next_state)
-    return level, after
+
+    def __init__(self, start: Element, budget: _Budget, rows: list, parent: _Parents = None):
+        self.budget, self.rows, self.parent = budget, rows, parent
+        self.held = _ELEMENT_BYTES + _PARENT_BYTES * (parent is not None)  # plus _LEAF_BYTES a leaf
+        budget.charge(self.held + _LEAF_BYTES * start.n_leaves, 0)
+        self.dist = {start: 0}
+        self.depth = 0
+        self.level = [start]
+        self.states: bytearray | None = bytearray(1)
+
+    def expand(self, completed_radius: int, last: bool = False) -> list[Element]:
+        """The next level in discovery order, which becomes the frontier.
+
+        A budget overrun names `completed_radius`. The states of a `last`
+        level are not built, as nothing expands it.
+        """
+        budget, dist, parent, held, rows = self.budget, self.dist, self.parent, self.held, self.rows
+        self.depth += 1
+        depth = self.depth
+        level: list[Element] = []
+        states = None if last else bytearray()
+        for e, state in zip(self.level, self.states):
+            for symbol, move, plans, next_state in rows[state]:
+                if e.range_tree not in plans:
+                    budget.charge(_PLAN_BYTES, completed_radius)
+                p = move(e, plans)
+                if p not in dist:
+                    dist[p] = depth
+                    budget.charge(held + _LEAF_BYTES * p.n_leaves, completed_radius)
+                    if parent is not None:
+                        parent[p] = (e, symbol)
+                    level.append(p)
+                    if states is not None:
+                        states.append(next_state)
+        self.level, self.states = level, states
+        return level
+
+
+def _ball(radius: int, budget: _Budget, steps: list, parent: _Parents) -> BallData:
+    """Levels 0..radius around the identity, by the moves `steps` allows."""
+    search = _Search(Element.identity(), budget, _rows(steps), parent)
+    levels = [search.level]
+    for d in range(radius):
+        levels.append(search.expand(d, last=d + 1 == radius))
+        if not levels[-1]:
+            break
+    return BallData(radius, levels, search.dist, parent)
 
 
 def enumerate_ball(
@@ -215,19 +234,7 @@ def enumerate_ball(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     budget = _Budget(memory_budget_mb(budget_mb))
-    identity = Element.identity()
-    distance = {identity: 0}
-    parent: dict[Element, tuple[Element, GenSymbol]] | None = {} if track_parents else None
-    budget.charge(identity, 0, track_parents)
-    levels = [[identity]]
-    states = bytearray(1)
-    plans: list[dict] = [{} for _ in LOCAL_MOVES]
-    for d in range(1, radius + 1):
-        level, states = _expand(levels[-1], states, distance, d, budget, d - 1, plans, parent)
-        levels.append(level)
-        if not level:
-            break
-    return BallData(radius, levels, distance, parent)
+    return _ball(radius, budget, _steps(), {} if track_parents else None)
 
 
 def ball_sizes(radius: int, budget_mb: int | None = None) -> list[int]:
@@ -248,24 +255,15 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
     target = x.reduce()
     if target == Element.identity():
         return LengthResult(0, radius)
-
-    frontiers = [[Element.identity()], [target]]
-    states = [bytearray(1), bytearray(1)]  # both sides start from the empty word
-    for frontier in frontiers:
-        budget.charge(frontier[0], 0)
-    dists = [{frontier[0]: 0} for frontier in frontiers]
-    depths = [0, 0]
-    plans: list[dict] = [{} for _ in LOCAL_MOVES]
-
+    rows = _rows(_steps())
+    sides = [_Search(Element.identity(), budget, rows), _Search(target, budget, rows)]
+    completed = 0  # levels expanded on both sides together
     best: int | None = None
-    while sum(depths) < radius and best is None:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        other = dists[1 - side]
-        frontiers[side], states[side] = _expand(
-            frontiers[side], states[side], dists[side], depths[side] + 1, budget, sum(depths), plans
-        )
-        depths[side] += 1
-        meets = [other[p] for p in frontiers[side] if p in other]
+    while completed < radius and best is None:
+        near, far = sides if len(sides[0].level) <= len(sides[1].level) else sides[::-1]
+        level = near.expand(completed, last=completed + 1 == radius)
+        completed += 1
+        meets = [far.dist[p] for p in level if p in far.dist]
         if meets:
-            best = depths[side] + min(meets)
+            best = near.depth + min(meets)
     return LengthResult(best, radius)

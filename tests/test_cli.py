@@ -195,6 +195,11 @@ def test_resource_error_exit_two(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "resource error: memory budget of 16 MB exceeded\n"
+    # a length query past the budget names the radius its two searches completed together
+    x = "(((.,.),.),((.,.),.))|((.,(.,(.,.))),(.,.))|[1,3,4,6,2,5]"
+    code, out, err = run(capsys, "length", x, "--radius", "12", "--budget-mb", "1")
+    assert (code, out) == (2, "")
+    assert err == "resource error: memory budget of 1 MB exceeded; completed radius 8\n"
 
 
 def test_element_outputs_reparse(capsys):

@@ -322,11 +322,23 @@ def test_cluster_count_examples():
 
 
 def test_cluster_count_diagram_independent():
+    # B and membership in F and T are read off any diagram: expanded random, F and T elements
+    # agree with their reduced diagrams
     rng = random.Random(28)
     for _ in range(200):
         x = random_element(rng.randint(1, 9), rng)
         grown = expand_randomly(x, rng, rng.randint(1, 6))
-        assert len(perms.cluster_runs(grown.perm)) == x.cluster_count()
+        assert grown.cluster_count() == len(perms.cluster_runs(x.perm)) == x.cluster_count()
+        n = rng.randint(1, 8)
+        shift = rng.randint(0, n)
+        f = Element(random_tree(n, rng), random_tree(n, rng), perms.identity_perm(n + 1))
+        cyc = tuple((i + shift) % (n + 1) + 1 for i in range(n + 1))
+        t = Element(random_tree(n, rng), random_tree(n, rng), cyc)
+        for y in (x, f, t):
+            grown, reduced = expand_randomly(y, rng, rng.randint(1, 6)), y.reduce().perm
+            assert grown.in_f() == perms.is_identity(reduced)
+            assert grown.in_t() == (perms.cyclic_shift(reduced) is not None)
+        assert expand_randomly(f, rng, 3).in_f() and expand_randomly(t, rng, 3).in_t()
 
 
 def test_cluster_bounds():

@@ -112,6 +112,12 @@ def test_budget_exhaustion_names_completed_radius():
     assert err.value.completed_radius == 0
     with pytest.raises(ResourceLimitError):
         exact_word_length(MOVES[GenSymbol("x1")] ** 4, 8, budget_mb=0)
+    # a length query names the levels both sides completed together: 1 MB holds 8 of the 11
+    x = Element.parse("(((.,.),.),((.,.),.))|((.,(.,(.,.))),(.,.))|[1,3,4,6,2,5]")
+    assert exact_word_length(x, 12).length == 11
+    with pytest.raises(ResourceLimitError) as err:
+        exact_word_length(x, 12, budget_mb=1)
+    assert err.value.completed_radius == 8
 
 
 @pytest.mark.parametrize("track_parents", [False, True])
