@@ -256,7 +256,7 @@ class Element:
     # cyclic shift, so the next three read any diagram of the element.
     def cluster_count(self) -> int:
         """Clusters of the permutation: B."""
-        return len(perms.cluster_runs(self.perm))
+        return len(perms._cluster_breaks(self.perm)) + 1
 
     def in_f(self) -> bool:
         return perms.is_identity(self.perm)

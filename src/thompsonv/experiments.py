@@ -26,7 +26,7 @@ from .generators import (
     parse_word,
     power_word,
 )
-from .search import ResourceLimitError, enumerate_ball, memory_budget_mb
+from .search import _Budget, enumerate_ball
 from .trees import right_comb
 
 
@@ -34,11 +34,9 @@ def counterexample_y(n: int) -> Element:
     """Right-comb element with 2n+1 carets swapping leaves 2n and 2n+1."""
     if n < 1:
         raise ValueError("n must be positive")
-    budget_mb = memory_budget_mb()
     # refuse n before any diagram: the bytes `counterexample --n n` adds to peak RSS, fitted at
     # n = 2500-20000; the n^2 term is the combs' big-int leaf addresses
-    if (3 * n + 8192) * n > budget_mb << 21:
-        raise ResourceLimitError(budget_mb)
+    _Budget().charge(-(-(3 * n + 8192) * n // 2))
     comb = right_comb(2 * n + 1)
     return Element(comb, comb, perms.adjacent_swap(2 * n + 2, 2 * n))
 
@@ -100,11 +98,12 @@ def survey_bounds(
         raise ValueError("survey count must be non-negative")
     if carets < 1:
         raise ValueError("caret count must be positive")
-    budget_mb = memory_budget_mb(budget_mb)
-    # bytes `survey --carets N` adds to peak RSS, fitted at N = 2500-30000: the Catalan table
-    if count and (carets + 3600) * carets > budget_mb * 7 << 20:
-        raise ResourceLimitError(budget_mb)
-    ball = enumerate_ball(radius, budget_mb=budget_mb, track_parents=False)
+    budget = _Budget(budget_mb)
+    if count:
+        # peak RSS of `survey --count 1 --carets N`, fitted at N = 2500-30000 (the Catalan table
+        # and one row), then each further row and its CSV line, at or above its peak at N = 6-10000
+        budget.charge(-(-(carets + 3600) * carets // 7) + (count - 1) * (43 * carets + 500))
+    ball = enumerate_ball(radius, budget_mb=budget.budget_mb, track_parents=False)
     rng = random.Random(seed)
     records = []
     for _ in range(count):

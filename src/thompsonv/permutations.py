@@ -62,17 +62,15 @@ class ClusterPartition:
         return [last - first + 1 for first, last in self.runs]
 
 
+def _cluster_breaks(p: Perm) -> list[int]:
+    """The positions i in 1..n-1 with s(i+1) != s(i)+1, where a cluster ends."""
+    return [i for i in range(1, len(p)) if p[i] != p[i - 1] + 1]
+
+
 def cluster_runs(p: Perm) -> ClusterPartition:
     """Partition of 1..n into maximal runs with s(i+j) = s(i)+j."""
-    check_perm(p)
-    runs: list[tuple[int, int]] = []
-    start = 1
-    for i in range(1, len(p)):
-        if p[i] != p[i - 1] + 1:
-            runs.append((start, i))
-            start = i + 1
-    runs.append((start, len(p)))
-    return ClusterPartition(tuple(runs))
+    ends = [0, *_cluster_breaks(check_perm(p)), len(p)]
+    return ClusterPartition(tuple((a + 1, b) for a, b in zip(ends, ends[1:])))
 
 
 def adjacent_swap(n: int, i: int) -> Perm:

@@ -10,10 +10,12 @@ plans when it returns. Every search runs through one level loop,
 Levels are expanded whole: every element of level k is known before level k+1
 starts, which makes enumeration order, ball sizes and reports deterministic.
 Point queries meet in the middle to double the reachable radius. Memory is
-capped by a byte budget that charges each stored element the bytes measured
-for it: a fixed cost, a word per leaf (trees are interned and shared) and its
-parent entry when parents are tracked; and each plan a fixed cost as it is
-stored. Exceeding it raises a resource error naming the last completed radius.
+capped by `_Budget`, the one budget every resource refusal charges. A search
+charges each stored element the bytes measured for it: a fixed cost, a word
+per leaf (trees are interned and shared) and its parent entry when parents
+are tracked; and each plan a fixed cost as it is stored. Exceeding it raises
+a resource error naming the last completed radius. `experiments` charges its
+fitted peak memory before it builds anything, and its refusals name none.
 
 Moves that cannot reach a new element are skipped (Epstein et al., *Word
 Processing in Groups*, 1992). Order words shortlex, symbols in `LOCAL_MOVES`
@@ -62,18 +64,6 @@ class ResourceLimitError(RuntimeError):
         self.completed_radius = completed_radius
 
 
-def memory_budget_mb(budget_mb: int | None = None) -> int:
-    """The budget in MB: `budget_mb`, else $THOMPSON_MEM_BUDGET_MB, else 512."""
-    if budget_mb is None:
-        env = os.environ.get(ENV_BUDGET)
-        if env and not env.isdecimal():
-            raise ValueError(f"{ENV_BUDGET} must be a non-negative integer, got {env!r}")
-        return int(env) if env else DEFAULT_BUDGET_MB
-    if budget_mb < 0:
-        raise ValueError(f"--budget-mb must be non-negative, got {budget_mb}")
-    return budget_mb
-
-
 @dataclass(frozen=True)
 class LengthResult:
     """Exact distance from the identity, or unknown beyond the radius."""
@@ -90,12 +80,21 @@ class LengthResult:
 
 
 class _Budget:
-    def __init__(self, budget_mb: int):
+    """`budget_mb` MB, else $THOMPSON_MEM_BUDGET_MB, else 512; each resource refusal is a charge."""
+
+    def __init__(self, budget_mb: int | None = None):
+        if budget_mb is None:
+            env = os.environ.get(ENV_BUDGET)
+            if env and not env.isdecimal():
+                raise ValueError(f"{ENV_BUDGET} must be a non-negative integer, got {env!r}")
+            budget_mb = int(env) if env else DEFAULT_BUDGET_MB
+        elif budget_mb < 0:
+            raise ValueError(f"--budget-mb must be non-negative, got {budget_mb}")
         self.budget_mb = budget_mb
         self.limit = budget_mb << 20
         self.used = 0
 
-    def charge(self, nbytes: int, completed_radius: int) -> None:
+    def charge(self, nbytes: int, completed_radius: int | None = None) -> None:
         self.used += nbytes
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
@@ -233,7 +232,7 @@ def enumerate_ball(
     """Breadth-first levels 0..radius around the identity."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    budget = _Budget(memory_budget_mb(budget_mb))
+    budget = _Budget(budget_mb)
     return _ball(radius, budget, _steps(), {} if track_parents else None)
 
 
@@ -251,7 +250,7 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    budget = _Budget(memory_budget_mb(budget_mb))
+    budget = _Budget(budget_mb)
     target = x.reduce()
     if target == Element.identity():
         return LengthResult(0, radius)

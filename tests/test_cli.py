@@ -202,6 +202,15 @@ def test_resource_error_exit_two(capsys, monkeypatch):
     assert err == "resource error: memory budget of 1 MB exceeded; completed radius 8\n"
 
 
+def test_survey_charges_its_rows(capsys):
+    # a million rows of 6 carets pass 16 MB: refused before the first is drawn
+    argv = ["survey", "--count", "1000000", "--carets", "6", "--radius", "0", "--budget-mb", "16"]
+    assert run(capsys, *argv) == (2, "", "resource error: memory budget of 16 MB exceeded\n")
+    # no row draws no tree, so neither rows nor a Catalan table are charged
+    argv = ["survey", "--count", "0", "--carets", "100000", "--radius", "0", "--budget-mb", "1"]
+    assert run(capsys, *argv) == (0, "element,N,B,exact_length,birget_upper,new_upper\n", "")
+
+
 def test_element_outputs_reparse(capsys):
     for argv in (
         ["reduce", "((.,.),.)|((.,.),.)|[1,2,3]"],

@@ -14,7 +14,7 @@ from thompsonv.experiments import (
     survey_csv,
     verify_conjugation_identity,
 )
-from thompsonv.search import exact_word_length
+from thompsonv.search import ResourceLimitError, exact_word_length
 
 
 def test_counterexample_y_examples():
@@ -27,6 +27,16 @@ def test_counterexample_y_examples():
         assert (y * y).equals(Element.identity())
     with pytest.raises(ValueError):
         counterexample_y(0)
+
+
+def test_counterexample_refused_past_the_budget(monkeypatch):
+    # the fitted bytes of the combs pass 16 MB between n = 2246 and 2247, before any diagram
+    monkeypatch.setenv("THOMPSON_MEM_BUDGET_MB", "16")
+    assert counterexample_y(2246).caret_count() == 4493
+    with pytest.raises(ResourceLimitError) as err:
+        counterexample_y(2247)
+    assert str(err.value) == "memory budget of 16 MB exceeded"
+    assert err.value.completed_radius is None
 
 
 def test_conjugation_identity_validates_under_one_convention():
@@ -114,6 +124,15 @@ def test_survey_csv_deterministic():
     header = a.splitlines()[0]
     assert header == ",".join(SURVEY_HEADER)
     assert len(a.splitlines()) == 21
+
+
+def test_survey_refused_past_the_budget():
+    # the Catalan table of one survey row passes 16 MB between N = 9185 and 9186
+    assert len(survey_bounds(1, 9185, 0, 0, budget_mb=16)) == 1
+    with pytest.raises(ResourceLimitError) as err:
+        survey_bounds(1, 9186, 0, 0, budget_mb=16)
+    assert str(err.value) == "memory budget of 16 MB exceeded"
+    assert err.value.completed_radius is None
 
 
 def test_product_length_bracketed_by_oracle():
