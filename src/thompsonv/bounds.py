@@ -34,3 +34,14 @@ def new_upper(n: int, b: int) -> float:
     if not 1 <= b <= n + 1:
         raise ValueError(f"cluster count {b} outside 1..{n + 1}")
     return n + b * math.log2(b)
+
+
+def cluster_ratio_greater(d1: int, n1: int, b1: int, d2: int, n2: int, b2: int) -> bool:
+    """d1 / (n1 + 1 + b1 log2 b1) > d2 / (n2 + 1 + b2 log2 b2), decided in integers.
+
+    For distances d >= 0, caret counts n >= 0 and cluster counts b >= 1. The
+    denominators are positive, so this is d1 (n2 + 1 + b2 log2 b2) >
+    d2 (n1 + 1 + b1 log2 b1), which holds exactly when 2 raised to each side
+    compares so: 2^(d1 (n2 + 1)) b2^(b2 d1) > 2^(d2 (n1 + 1)) b1^(b1 d2).
+    """
+    return b2 ** (b2 * d1) << d1 * (n2 + 1) > b1 ** (b1 * d2) << d2 * (n1 + 1)

@@ -21,11 +21,12 @@ from .trees import (
     Address,
     Scanner,
     Tree,
+    _catalan,
+    _random_tree,
     halves,
     leaf_addresses,
     merge_leaves,
     parse_tree_at,
-    random_tree,
     refine,
     split_leaf,
     tree_of,
@@ -90,6 +91,15 @@ class Element:
         object.__setattr__(self, "range_tree", range_tree)
         object.__setattr__(self, "perm", perm)
 
+    @staticmethod
+    def _trusted(domain_tree: Tree, range_tree: Tree, perm: perms.Perm) -> Element:
+        """An element from parts that a valid element yields, so `__init__`'s checks are skipped."""
+        e = object.__new__(Element)
+        object.__setattr__(e, "domain_tree", domain_tree)
+        object.__setattr__(e, "range_tree", range_tree)
+        object.__setattr__(e, "perm", perm)
+        return e
+
     # -- construction and text form --------------------------------------
 
     @staticmethod
@@ -101,8 +111,13 @@ class Element:
         """Unreduced diagram from two uniform random trees and a uniform permutation."""
         if carets < 1:
             raise ValueError("caret count must be positive")
-        domain = random_tree(carets, rng)
-        range_ = random_tree(carets, rng)
+        return Element._random(carets, rng, _catalan(carets))
+
+    @staticmethod
+    def _random(carets: int, rng: random.Random, cat: list[int]) -> Element:
+        """`random`, drawing both trees with the Catalan numbers `cat` (see `trees._catalan`)."""
+        domain = _random_tree(carets, rng, cat)
+        range_ = _random_tree(carets, rng, cat)
         images = list(range(1, carets + 2))
         rng.shuffle(images)
         return Element(domain, range_, tuple(images))
@@ -146,7 +161,7 @@ class Element:
         images = [image for _, image in pieces]
         top = max(exp for _, exp in images)
         order = sorted(range(len(images)), key=lambda j: images[j][0] << (top - images[j][1]))
-        return Element(
+        return Element._trusted(
             tree_of([domain for domain, _ in pieces]),
             tree_of([images[j] for j in order]),
             perms.invert_perm(tuple(j + 1 for j in order)),
@@ -178,7 +193,7 @@ class Element:
         if range_ is None:
             return None
         images = self.perm[:i] + self.perm[i + 1 :]
-        return Element(domain, range_, tuple(v - (v > r) for v in images))
+        return Element._trusted(domain, range_, tuple(v - (v > r) for v in images))
 
     def reduce(self) -> Element:
         """Unique reduced diagram of the same group element; self if already reduced."""
@@ -196,7 +211,7 @@ class Element:
         r = self.perm[i - 1]
         images = [v + (v > r) for v in self.perm]
         images.insert(i, r + 1)
-        return Element(
+        return Element._trusted(
             split_leaf(self.domain_tree, i), split_leaf(self.range_tree, r), tuple(images)
         )
 
@@ -225,7 +240,7 @@ class Element:
         return Element._from_pieces(_cancelled(pieces))
 
     def inverse(self) -> Element:
-        return Element(self.range_tree, self.domain_tree, perms.invert_perm(self.perm))
+        return Element._trusted(self.range_tree, self.domain_tree, perms.invert_perm(self.perm))
 
     def __pow__(self, n: int) -> Element:
         if n < 0:

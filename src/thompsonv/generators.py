@@ -66,8 +66,11 @@ def _local_move(g: Element) -> Callable[..., Element]:
     and renumber the permutation. Cancel: only Rg's carets can, as e is reduced,
     once over two leaves, so only if two leaf S_i hang from one of them;
     `Element.cancel_pair` tries them bottom-up and right to left, so no
-    cancellation renumbers a caret still to come. `move(e, plans)` keeps each
-    plan in `plans` by range tree, so a search makes it once per range tree.
+    cancellation renumbers a caret still to come. `move(e, plans, memo)` keeps
+    each plan in `plans` by range tree, so a search makes it once per range
+    tree, and each split of a domain tree in `memo`, (tree, leaf) ->
+    `split_leaf(tree, leaf)`, which one search shares between its moves. The
+    parts come from a valid element, so the product is built unchecked.
     """
     fit = [ch == "(" for ch in tree_text(g.domain_tree) if ch in "(."]  # Dg in pre-order: caret?
     order = [i - 1 for i in perms.invert_perm(g.perm)]  # the S_i on each leaf of Rg
@@ -107,19 +110,22 @@ def _local_move(g: Element) -> Callable[..., Element]:
         pack = bytes if first <= 256 else tuple  # bytes hold a search's small tables in less room
         return pack(splits), renumber and pack(renumber), trees[0], sizes and pack(sizes)
 
-    def move(e: Element, plans: dict[Tree, tuple] | None = None) -> Element:
+    def move(e: Element, plans: dict | None = None, memo: dict | None = None) -> Element:
         plans = {} if plans is None else plans
+        memo = {} if memo is None else memo
         if (p := plans.get(e.range_tree)) is None:
             p = plans[e.range_tree] = plan(e.range_tree)
         splits, renumber, range_tree, sizes = p
         domain, perm = e.domain_tree, e.perm
         for r in splits:  # domain leaf i maps to range leaf r, and its halves to r and r + 1
             i = perm.index(r) + 1
-            domain, perm = split_leaf(domain, i), [v + (v > r) for v in perm]
+            if (split := memo.get((domain, i))) is None:
+                split = memo[domain, i] = split_leaf(domain, i)
+            domain, perm = split, [v + (v > r) for v in perm]
             perm.insert(i, r + 1)
         if renumber:
             perm = map(renumber.__getitem__, perm)
-        e = Element(domain, range_tree, perm)
+        e = Element._trusted(domain, range_tree, tuple(perm))
         if sizes:
             stack, first = [], range_tree.leaves + 1
             for size in sizes:  # `first` steps back to each node's first leaf

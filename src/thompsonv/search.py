@@ -3,9 +3,12 @@
 States are reduced diagrams. A reduced diagram is unique, so `==` on states is
 group equality and deduplication is exact. A state is multiplied by a generator
 through `generators.LOCAL_MOVES`, which rewrites only the top carets of its
-range tree and gives the same reduced diagram as `*`. A move's plan depends on
-the range tree alone, so a search stores it once per range tree and drops the
-plans when it returns. Every search runs through one level loop,
+range tree and gives the same reduced diagram as `*`, built without
+`Element`'s checks. A move's plan depends on the range tree alone, so a search
+stores it once per range tree. The domain leaves a move splits repeat too, so
+its eight moves share one memo, (tree, leaf) -> `split_leaf(tree, leaf)`: the
+radius-6 ball makes 10,060 splits of 637 distinct pairs. A search drops its
+plans and memo when it returns. Every search runs through one level loop,
 `_Search.expand`: the ball, both sides of a length query and the window table.
 Levels are expanded whole: every element of level k is known before level k+1
 starts, which makes enumeration order, ball sizes and reports deterministic.
@@ -13,9 +16,10 @@ Point queries meet in the middle to double the reachable radius. Memory is
 capped by `_Budget`, the one budget every resource refusal charges. A search
 charges each stored element the bytes measured for it: a fixed cost, a word
 per leaf (trees are interned and shared) and its parent entry when parents
-are tracked; and each plan a fixed cost as it is stored. Exceeding it raises
-a resource error naming the last completed radius. `experiments` charges its
-fitted peak memory before it builds anything, and its refusals name none.
+are tracked; and each plan and each memo entry a fixed cost, once, as it is
+stored. Exceeding it raises a resource error naming the last completed
+radius. `experiments` charges its fitted peak memory before it builds
+anything, and its refusals name none.
 
 Moves that cannot reach a new element are skipped (Epstein et al., *Word
 Processing in Groups*, 1992). Order words shortlex, symbols in `LOCAL_MOVES`
@@ -50,6 +54,7 @@ _ELEMENT_BYTES = 165
 _LEAF_BYTES = 8
 _PARENT_BYTES = 100
 _PLAN_BYTES = 145  # per stored move plan: tracemalloc of the plan dicts at radius 5-7 read 136-153
+_SPLIT_BYTES = 100  # per split memo entry: tracemalloc of the memo at radius 5-7 read 85-100
 _WINDOW = 3  # symbols per pruning window: 2, 3 and 4 timed alike at radius 6-8; 3 needs 44 states
 _Parents = dict[Element, tuple[Element, GenSymbol]] | None  # element -> (predecessor, move)
 
@@ -98,6 +103,20 @@ class _Budget:
         self.used += nbytes
         if self.used > self.limit:
             raise ResourceLimitError(self.budget_mb, completed_radius)
+
+
+class _Charged(dict):
+    """A dict that charges `budget` `nbytes` for each entry stored in it."""
+
+    __slots__ = ("budget", "nbytes")
+
+    def __init__(self, budget: _Budget, nbytes: int):
+        super().__init__()
+        self.budget, self.nbytes = budget, nbytes
+
+    def __setitem__(self, key, value) -> None:
+        self.budget.charge(self.nbytes)
+        dict.__setitem__(self, key, value)
 
 
 @dataclass
@@ -164,9 +183,10 @@ def _steps() -> list[list[tuple[int, int]]]:
     ]
 
 
-def _rows(steps: list[list[tuple[int, int]]]) -> list[list[tuple]]:
-    """Per state, its moves as (symbol, move, plan dict, state after); one plan dict per symbol."""
-    moves = [(*item, {}) for item in LOCAL_MOVES.items()]
+def _rows(steps: list[list[tuple[int, int]]], budget: _Budget) -> list[list[tuple]]:
+    """Per state, its moves as (symbol, move, plan dict, state after); one plan dict per symbol,
+    which charges `budget` for each plan it stores."""
+    moves = [(*item, _Charged(budget, _PLAN_BYTES)) for item in LOCAL_MOVES.items()]
     return [[(*moves[i], state) for i, state in row] for row in steps]
 
 
@@ -175,13 +195,15 @@ class _Search:
 
     Each element makes the moves that `rows` (from `_rows`) lists for its
     state; the start has the empty word's state 0. Both sides of a length
-    query share their rows, and so their plans.
+    query share their rows, and so their plans. The eight moves share one
+    split memo, `memo`, which lives as long as the search.
     """
 
     def __init__(self, start: Element, budget: _Budget, rows: list, parent: _Parents = None):
         self.budget, self.rows, self.parent = budget, rows, parent
         self.held = _ELEMENT_BYTES + _PARENT_BYTES * (parent is not None)  # plus _LEAF_BYTES a leaf
         budget.charge(self.held + _LEAF_BYTES * start.n_leaves, 0)
+        self.memo = _Charged(budget, _SPLIT_BYTES)
         self.dist = {start: 0}
         self.depth = 0
         self.level = [start]
@@ -194,30 +216,33 @@ class _Search:
         level are not built, as nothing expands it.
         """
         budget, dist, parent, held, rows = self.budget, self.dist, self.parent, self.held, self.rows
+        memo, stored, size = self.memo, dist.setdefault, len(dist)
         self.depth += 1
         depth = self.depth
         level: list[Element] = []
         states = None if last else bytearray()
-        for e, state in zip(self.level, self.states):
-            for symbol, move, plans, next_state in rows[state]:
-                if e.range_tree not in plans:
-                    budget.charge(_PLAN_BYTES, completed_radius)
-                p = move(e, plans)
-                if p not in dist:
-                    dist[p] = depth
-                    budget.charge(held + _LEAF_BYTES * p.n_leaves, completed_radius)
-                    if parent is not None:
-                        parent[p] = (e, symbol)
-                    level.append(p)
-                    if states is not None:
-                        states.append(next_state)
+        try:
+            for e, state in zip(self.level, self.states):
+                for symbol, move, plans, next_state in rows[state]:
+                    p = move(e, plans, memo)
+                    stored(p, depth)  # one probe; `dist` grows if p is new
+                    if len(dist) > size:
+                        size += 1
+                        budget.charge(held + _LEAF_BYTES * p.n_leaves)
+                        if parent is not None:
+                            parent[p] = (e, symbol)
+                        level.append(p)
+                        if states is not None:
+                            states.append(next_state)
+        except ResourceLimitError:  # charges for elements, plans and splits name no radius
+            raise ResourceLimitError(budget.budget_mb, completed_radius) from None
         self.level, self.states = level, states
         return level
 
 
 def _ball(radius: int, budget: _Budget, steps: list, parent: _Parents) -> BallData:
     """Levels 0..radius around the identity, by the moves `steps` allows."""
-    search = _Search(Element.identity(), budget, _rows(steps), parent)
+    search = _Search(Element.identity(), budget, _rows(steps, budget), parent)
     levels = [search.level]
     for d in range(radius):
         levels.append(search.expand(d, last=d + 1 == radius))
@@ -254,7 +279,7 @@ def exact_word_length(x: Element, radius: int, budget_mb: int | None = None) -> 
     target = x.reduce()
     if target == Element.identity():
         return LengthResult(0, radius)
-    rows = _rows(_steps())
+    rows = _rows(_steps(), budget)
     sides = [_Search(Element.identity(), budget, rows), _Search(target, budget, rows)]
     completed = 0  # levels expanded on both sides together
     best: int | None = None

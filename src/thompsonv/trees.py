@@ -314,9 +314,19 @@ def random_tree(carets_: int, rng) -> Tree:
     """
     if carets_ < 0:
         raise ValueError("caret count must be non-negative")
+    return _random_tree(carets_, rng, _catalan(carets_))
+
+
+def _catalan(carets_: int) -> list[int]:
+    """The Catalan numbers C(0) .. C(carets_); at large counts they hold most of a draw's memory."""
     cat = [1]  # C(k+1) = C(k) 2(2k+1) / (k+2)
     for k in range(carets_):
         cat.append(cat[k] * 2 * (2 * k + 1) // (k + 2))
+    return cat
+
+
+def _random_tree(carets_: int, rng, cat: list[int]) -> Tree:
+    """`random_tree`, with `cat` holding at least C(0) .. C(carets_), so draws can share it."""
 
     def left_carets(m: int) -> int:
         r = rng.randrange(cat[m])

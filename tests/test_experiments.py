@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thompsonv import elements, experiments
 from thompsonv import permutations as perms
 from thompsonv.elements import Element
 from thompsonv.generators import evaluate_word, format_word
@@ -124,6 +125,18 @@ def test_survey_csv_deterministic():
     header = a.splitlines()[0]
     assert header == ",".join(SURVEY_HEADER)
     assert len(a.splitlines()) == 21
+
+
+def test_survey_draws_with_one_catalan_table(monkeypatch):
+    # the rows are Element.random's seeded draws, made with one table for the whole survey
+    rng = random.Random(4)
+    texts = [Element.random(6, rng).reduce().text() for _ in range(10)]
+    built = []
+    catalan = experiments._catalan
+    monkeypatch.setattr(experiments, "_catalan", lambda n: built.append(n) or catalan(n))
+    monkeypatch.setattr(elements, "_catalan", None)  # Element.random's own table
+    assert [r.element_text for r in survey_bounds(10, 6, 0, 4)] == texts
+    assert built == [6]
 
 
 def test_survey_refused_past_the_budget():

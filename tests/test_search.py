@@ -19,7 +19,7 @@ from thompsonv.search import (
     enumerate_ball,
     exact_word_length,
 )
-from thompsonv.trees import random_tree, right_comb
+from thompsonv.trees import random_tree, right_comb, split_leaf
 
 RADIUS = 4
 
@@ -143,7 +143,8 @@ def test_budget_charges_what_the_ball_holds(monkeypatch, track_parents):
 
 def test_budget_charges_stored_plans(monkeypatch):
     # radius 5 expands levels 0-4; an element stores a plan per range tree for each symbol its
-    # state allows, the state being the last K-1 symbols of its witness word
+    # state allows, the state being the last K-1 symbols of its witness word, and the search's
+    # split memo an entry per (domain tree, leaf) that those moves split
     budgets = []
 
     class RecordingBudget(search._Budget):
@@ -158,15 +159,25 @@ def test_budget_charges_stored_plans(monkeypatch):
         for e in ball.distance
     )
     windows = set(search._windows(search._WINDOW))
-    stored = {
-        (e.range_tree, s)
+    made = [
+        (e, s)
         for level in ball.levels[:5]
         for e in level
         for s in MOVES
         if ball.witness_word(e)[1 - search._WINDOW :] + (s,) in windows
-    }
+    ]
+    stored = {(e.range_tree, s) for e, s in made}
     assert len(stored) < 8 * len({e.range_tree for level in ball.levels[:5] for e in level})
-    assert budgets[0].used == elements + len(stored) * search._PLAN_BYTES
+    # the same moves without a memo, each split recorded
+    splits = []
+    with monkeypatch.context() as m:
+        m.setattr(generators, "split_leaf", lambda t, i: splits.append((t, i)) or split_leaf(t, i))
+        for e, s in made:
+            generators.LOCAL_MOVES[s](e)
+    assert (len(splits), len(set(splits))) == (2360, 241)
+    assert budgets[0].used == (
+        elements + len(stored) * search._PLAN_BYTES + len(set(splits)) * search._SPLIT_BYTES
+    )
     # plans alone overrun a budget that the elements fit, naming the radius completed before
     monkeypatch.setattr(search, "_PLAN_BYTES", 1 << 16)
     with pytest.raises(ResourceLimitError) as err:
@@ -232,7 +243,7 @@ def test_pruned_ball_makes_fewer_moves(monkeypatch, reference):
     search._steps()  # built before counting: only the search's own moves count
 
     def counting(symbol, move):
-        return lambda e, plans=None: made.append(symbol) or move(e, plans)
+        return lambda *args: made.append(symbol) or move(*args)
 
     counted = {s: counting(s, move) for s, move in generators.LOCAL_MOVES.items()}
     monkeypatch.setattr(search, "LOCAL_MOVES", counted)
@@ -307,6 +318,20 @@ def test_local_moves_equal_products():
     assert local_move_mismatches(elements) == []
 
 
+def test_unchecked_elements_pass_the_checks():
+    # moves, cancel_pair, expand_leaf, _from_pieces and inverse build elements without
+    # Element(...)'s checks; rebuilding each through them must give it back
+    elements = [e for level in enumerate_ball(5, track_parents=False).levels for e in level]
+    rng = random.Random(28)
+    for e in elements:
+        assert perms.check_perm(e.perm) == e.perm
+        assert e.domain_tree.leaves == e.range_tree.leaves == len(e.perm)
+    for e in rng.sample(elements, 300):
+        expanded = e.expand_leaf(rng.randint(1, e.n_leaves))
+        for x in (e.inverse(), expanded, expanded.reduce(), e * rng.choice(elements)):
+            assert Element(x.domain_tree, x.range_tree, x.perm) == x
+
+
 def test_local_moves_follow_interval_maps(ball):
     # independent semantics: apply e's map, then g's, at every third odd multiple of 1/128
     points = [Fraction(2 * k + 1, 128) for k in range(0, 64, 3)]
@@ -341,6 +366,11 @@ def test_local_move_mutations_are_caught(ball, monkeypatch):
     elements = [e for level in ball.levels[:4] for e in level]
     with monkeypatch.context() as m:
         m.setattr(Element, "cancel_pair", lambda self, i: None)  # no cancel step
+        assert local_move_mismatches(elements)
+    with monkeypatch.context() as m:  # a move builds its product unchecked: reverse its images
+        trusted = Element._trusted
+        reversing = type("Reversing", (), {"_trusted": lambda d, r, p: trusted(d, r, p[::-1])})
+        m.setattr(generators, "Element", reversing)
         assert local_move_mismatches(elements)
     x0, x0_inv = GenSymbol("x0"), GenSymbol("x0", -1)
     swapped = dict(generators.LOCAL_MOVES)
