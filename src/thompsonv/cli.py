@@ -8,6 +8,7 @@ for identical invocations.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bounds import birget_upper, new_upper
@@ -159,11 +160,9 @@ def _run(args: argparse.Namespace) -> None:
         print(f"product_clusters: {product.cluster_count()}")
         print(f"witness_word_length: {len(word)}")
         print(f"witness_word: {format_word(word)}")
-    elif cmd == "survey":
-        records = survey_bounds(
-            args.count, args.carets, args.radius, args.seed, budget_mb=args.budget_mb
-        )
-        sys.stdout.write(survey_csv(records))
+    elif cmd == "survey":  # a refusal comes before the header: survey_bounds draws lazily
+        records = survey_bounds(args.count, args.carets, args.radius, args.seed, args.budget_mb)
+        survey_csv(records, sys.stdout)
     else:  # "constants"; argparse admits only the subcommands above
         print(estimate_constants(args.radius, budget_mb=args.budget_mb))
 
@@ -173,6 +172,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _run(args)
+        sys.stdout.flush()  # a reader that closed the pipe is met here, inside the try
+    except BrokenPipeError:
+        # as in Python's `signal` docs: the flush at exit then writes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -10,9 +10,10 @@ lengths from the search oracle on seeded random elements.
 from __future__ import annotations
 
 import csv
-import io
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 from . import permutations as perms
 from .bounds import birget_upper, cluster_ratio_greater, new_upper
@@ -26,7 +27,7 @@ from .generators import (
     parse_word,
     power_word,
 )
-from .search import _Budget, enumerate_ball
+from .search import _Budget, _ball, _steps, enumerate_ball
 from .trees import _catalan, right_comb
 
 
@@ -92,49 +93,45 @@ class SurveyRecord:
 
 def survey_bounds(
     count: int, carets: int, radius: int, seed: int, budget_mb: int | None = None
-) -> list[SurveyRecord]:
-    """Records for seeded random elements; exact lengths where the ball reaches."""
+) -> Iterator[SurveyRecord]:
+    """Records for seeded random elements; exact lengths where the ball reaches.
+
+    The arguments are checked, and the Catalan table and the ball charged to one budget and
+    built, before this returns; the records are then drawn one at a time.
+    """
     if count < 0:
         raise ValueError("survey count must be non-negative")
     if carets < 1:
         raise ValueError("caret count must be positive")
     budget = _Budget(budget_mb)
     if count:
-        # peak RSS of `survey --count 1 --carets N`, fitted at N = 2500-30000 (the Catalan table
-        # and one row), then each further row and its CSV line, at or above its peak at N = 6-10000
-        budget.charge(-(-(carets + 3600) * carets // 7) + (count - 1) * (43 * carets + 500))
-    ball = enumerate_ball(radius, budget_mb=budget.budget_mb, track_parents=False)
+        # peak RSS of `survey --count 1 --carets N`, its table and one row, fitted at N = 2500-30000
+        budget.charge(-(-(carets + 3600) * carets // 7))
+    ball = _ball(radius, budget, _steps(), None)
     rng = random.Random(seed)
     cat = _catalan(carets) if count else []  # one table for every draw
-    records = []
-    for _ in range(count):
-        x = Element._random(carets, rng, cat).reduce()
-        n, b = x.domain_tree.carets, x.cluster_count()
-        records.append(
-            SurveyRecord(x.text(), n, b, ball.distance_of(x), birget_upper(n), new_upper(n, b))
-        )
-    return records
+
+    def records() -> Iterator[SurveyRecord]:
+        for _ in range(count):
+            x = Element._random(carets, rng, cat).reduce()
+            n, b = x.domain_tree.carets, x.cluster_count()
+            length = ball.distance_of(x)
+            yield SurveyRecord(x.text(), n, b, length, birget_upper(n), new_upper(n, b))
+
+    return records()
 
 
 SURVEY_HEADER = ["element", "N", "B", "exact_length", "birget_upper", "new_upper"]
 
 
-def survey_csv(records: list[SurveyRecord]) -> str:
-    out = io.StringIO()
+def survey_csv(records: Iterable[SurveyRecord], out: TextIO) -> None:
+    """Write the header to `out`, then each record as it arrives."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SURVEY_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                r.element_text,
-                r.carets,
-                r.clusters,
-                "" if r.exact_length is None else r.exact_length,
-                f"{r.birget:.6f}",
-                f"{r.new_bound:.6f}",
-            ]
-        )
-    return out.getvalue()
+        exact = "" if r.exact_length is None else r.exact_length
+        row = [r.element_text, r.carets, r.clusters, exact, f"{r.birget:.6f}", f"{r.new_bound:.6f}"]
+        writer.writerow(row)
 
 
 @dataclass(frozen=True)

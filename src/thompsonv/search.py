@@ -19,7 +19,7 @@ per leaf (trees are interned and shared) and its parent entry when parents
 are tracked; and each plan and each memo entry a fixed cost, once, as it is
 stored. Exceeding it raises a resource error naming the last completed
 radius. `experiments` charges its fitted peak memory before it builds
-anything, and its refusals name none.
+anything, and those refusals name none; a survey's ball shares its budget.
 
 Moves that cannot reach a new element are skipped (Epstein et al., *Word
 Processing in Groups*, 1992). Order words shortlex, symbols in `LOCAL_MOVES`
@@ -242,6 +242,8 @@ class _Search:
 
 def _ball(radius: int, budget: _Budget, steps: list, parent: _Parents) -> BallData:
     """Levels 0..radius around the identity, by the moves `steps` allows."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     search = _Search(Element.identity(), budget, _rows(steps, budget), parent)
     levels = [search.level]
     for d in range(radius):
@@ -255,10 +257,7 @@ def enumerate_ball(
     radius: int, budget_mb: int | None = None, track_parents: bool = True
 ) -> BallData:
     """Breadth-first levels 0..radius around the identity."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    budget = _Budget(budget_mb)
-    return _ball(radius, budget, _steps(), {} if track_parents else None)
+    return _ball(radius, _Budget(budget_mb), _steps(), {} if track_parents else None)
 
 
 def ball_sizes(radius: int, budget_mb: int | None = None) -> list[int]:

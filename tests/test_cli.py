@@ -2,11 +2,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import thompsonv
 from thompsonv.cli import main
 from thompsonv.elements import Element
+from thompsonv.experiments import survey_bounds, survey_csv
 from thompsonv.generators import format_word
 from thompsonv.words import synthesize_word
 
@@ -202,11 +204,19 @@ def test_resource_error_exit_two(capsys, monkeypatch):
     assert err == "resource error: memory budget of 1 MB exceeded; completed radius 8\n"
 
 
-def test_survey_charges_its_rows(capsys):
-    # a million rows of 6 carets pass 16 MB: refused before the first is drawn
-    argv = ["survey", "--count", "1000000", "--carets", "6", "--radius", "0", "--budget-mb", "16"]
-    assert run(capsys, *argv) == (2, "", "resource error: memory budget of 16 MB exceeded\n")
-    # no row draws no tree, so neither rows nor a Catalan table are charged
+def test_survey_holds_one_row(capsys):
+    # each row is written as it is drawn, so 2000 rows peak about as high as 20
+    def peak(count):
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            survey_csv(survey_bounds(count, 20, 0, 0), sink)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return peak
+
+    few = peak(20)
+    assert peak(2000) < 2 * few
+    # no row draws no tree, so no Catalan table is charged
     argv = ["survey", "--count", "0", "--carets", "100000", "--radius", "0", "--budget-mb", "1"]
     assert run(capsys, *argv) == (0, "element,N,B,exact_length,birget_upper,new_upper\n", "")
 
@@ -246,6 +256,24 @@ def test_module_entry_point_exit_codes():
     assert run_module(*survey, THOMPSON_MEM_BUDGET_MB="16") == (2, "")
     code, out = run_module("counterexample", "--n", "5000")  # the default budget holds it
     assert code == 0 and "product_carets: 10001\n" in out
+
+
+def test_closed_pipe_exits_without_traceback():
+    """A reader that takes one line and closes the pipe ends the survey with exit 1, quietly."""
+    env = dict(os.environ, PYTHONPATH=str(Path(thompsonv.__file__).parents[1]))
+    argv = ["survey", "--count", "100000", "--carets", "6", "--radius", "0"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thompsonv", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"element,N,B,exact_length,birget_upper,new_upper\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_word_evaluate_reads_stdin():

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -103,7 +104,7 @@ def test_random_elements_mostly_fully_scattered():
 
 
 def test_survey_records_consistent():
-    records = survey_bounds(count=30, carets=4, radius=3, seed=5)
+    records = list(survey_bounds(count=30, carets=4, radius=3, seed=5))
     assert len(records) == 30
     for r in records:
         x = Element.parse(r.element_text)
@@ -119,8 +120,10 @@ def test_survey_records_consistent():
 
 
 def test_survey_csv_deterministic():
-    a = survey_csv(survey_bounds(count=20, carets=5, radius=2, seed=9))
-    b = survey_csv(survey_bounds(count=20, carets=5, radius=2, seed=9))
+    a, b = io.StringIO(), io.StringIO()
+    survey_csv(survey_bounds(count=20, carets=5, radius=2, seed=9), a)
+    survey_csv(survey_bounds(count=20, carets=5, radius=2, seed=9), b)
+    a, b = a.getvalue(), b.getvalue()
     assert a == b
     header = a.splitlines()[0]
     assert header == ",".join(SURVEY_HEADER)
@@ -140,12 +143,17 @@ def test_survey_draws_with_one_catalan_table(monkeypatch):
 
 
 def test_survey_refused_past_the_budget():
-    # the Catalan table of one survey row passes 16 MB between N = 9185 and 9186
-    assert len(survey_bounds(1, 9185, 0, 0, budget_mb=16)) == 1
+    # the Catalan table of a survey passes 16 MB between N = 9185 and 9186
+    assert len(list(survey_bounds(1, 9185, 0, 0, budget_mb=16))) == 1
     with pytest.raises(ResourceLimitError) as err:
         survey_bounds(1, 9186, 0, 0, budget_mb=16)
     assert str(err.value) == "memory budget of 16 MB exceeded"
     assert err.value.completed_radius is None
+    # the ball is charged to the same budget: the table's 16,775,747 bytes leave no room for
+    # the radius-3 ball, which is refused after its start
+    with pytest.raises(ResourceLimitError) as err:
+        survey_bounds(1, 9185, 3, 0, budget_mb=16)
+    assert err.value.completed_radius == 0
 
 
 def test_product_length_bracketed_by_oracle():
